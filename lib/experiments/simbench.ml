@@ -7,10 +7,11 @@
       predecode vs the interpretive reference stepper) over the
       committed workload suite and returns the throughput table that
       [BENCH_sim.json] serialises;
-    - {!metrics} produces the {e deterministic} per-workload simulated
-      metrics (cycles, energy, instructions — no wall-clock anywhere)
-      that CI writes once per mode and diffs byte-for-byte, proving the
-      two modes agree on every workload, not just the baseline cells.
+    - {!metrics} produces the {e deterministic} per-cell simulated
+      metrics (cycles, duration, energy by category, instructions — no
+      wall-clock anywhere) for every workload on every zoo machine under
+      every power configuration, which CI writes once per mode and
+      diffs byte-for-byte, proving the two modes agree on all of them.
 
     The JSON schema ([lowpower-bench-sim/1]) round-trips through
     {!to_json}/{!of_json}; a golden test locks that down so downstream
@@ -159,37 +160,58 @@ let measure ?(min_wall_s = 0.2) ?(min_runs = 3) () : t =
 (* Deterministic metrics (the CI byte-diff)                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every zoo machine under every power configuration, so the diff
+   covers the per-class ladders, the cache local store and the far tier
+   as well as the gating and DVFS paths. *)
+let metric_configs machine =
+  [ ("baseline", Compile.baseline); ("pg_dvfs", Compile.pg_dvfs);
+    ("full", Compile.full ~n_cores:(Machine.n_cores machine)) ]
+
 let metrics ~predecode () : J.t =
-  let machine = bench_machine () in
-  let opts = bench_config () in
   let cells =
-    List.filter_map
-      (fun (w : Workload.t) ->
-        match Compile.compile ~opts ~machine w.Workload.source with
-        | exception _ -> None
-        | compiled -> (
-          match simulate compiled ~machine ~predecode with
-          | exception _ -> None
-          | o ->
-            let cycles =
-              Array.fold_left
-                (fun acc c -> acc +. float_of_int c)
-                0.0 o.Sim.cycles_per_core
-            in
-            Some
-              (J.Obj
-                 [
-                   ("workload", J.Str w.Workload.name);
-                   ("cycles", J.Num cycles);
-                   ("energy_nj", J.Num (Ledger.total o.Sim.energy));
-                   ("instrs", J.Num (float_of_int o.Sim.instr_total));
-                   ("steps", J.Num (float_of_int o.Sim.steps));
-                 ])))
-      Suite.all
+    List.concat_map
+      (fun mname ->
+        let machine = Option.get (Machine.of_name mname) in
+        List.concat_map
+          (fun (cname, opts) ->
+            List.filter_map
+              (fun (w : Workload.t) ->
+                match Compile.compile ~opts ~machine w.Workload.source with
+                | exception _ -> None
+                | compiled -> (
+                  match simulate compiled ~machine ~predecode with
+                  | exception _ -> None
+                  | o ->
+                    let cycles =
+                      Array.fold_left
+                        (fun acc c -> acc +. float_of_int c)
+                        0.0 o.Sim.cycles_per_core
+                    in
+                    Some
+                      (J.Obj
+                         ([
+                            ("workload", J.Str w.Workload.name);
+                            ("machine", J.Str mname);
+                            ("config", J.Str cname);
+                            ("cycles", J.Num cycles);
+                            ("duration_ns", J.Num o.Sim.duration_ns);
+                            ("energy_nj", J.Num (Ledger.total o.Sim.energy));
+                          ]
+                         @ List.map
+                             (fun (c, e) ->
+                               ("energy_" ^ Ledger.category_to_string c, J.Num e))
+                             (Ledger.breakdown o.Sim.energy)
+                         @ [
+                             ("instrs", J.Num (float_of_int o.Sim.instr_total));
+                             ("steps", J.Num (float_of_int o.Sim.steps));
+                           ]))))
+              Suite.all)
+          (metric_configs machine))
+      Machine.names
   in
   (* deliberately no mode marker: the two modes' files must be
      byte-identical, which is exactly what CI diffs *)
-  J.Obj [ ("schema", J.Str "lowpower-sim-metrics/1"); ("cells", J.List cells) ]
+  J.Obj [ ("schema", J.Str "lowpower-sim-metrics/2"); ("cells", J.List cells) ]
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sim.json schema                                               *)

@@ -35,10 +35,12 @@ type t = {
     [min_runs] repetitions, default 3). *)
 val measure : ?min_wall_s:float -> ?min_runs:int -> unit -> t
 
-(** Deterministic per-workload simulated metrics (cycles, energy,
-    instructions, steps — no wall-clock, no mode marker) under the given
-    simulator mode.  CI writes this once per mode and diffs the two
-    files byte-for-byte. *)
+(** Deterministic simulated metrics (cycles, duration, total and
+    per-category energy, instructions, steps — no wall-clock, no mode
+    marker) under the given simulator mode, one row per suite workload
+    on every zoo machine under [baseline], [pg_dvfs] and [full]
+    (schema [lowpower-sim-metrics/2]).  CI writes this once per mode and
+    diffs the two files byte-for-byte. *)
 val metrics : predecode:bool -> unit -> Lp_util.Json.t
 
 val schema : string

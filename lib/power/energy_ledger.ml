@@ -26,9 +26,7 @@ let category_to_string = function
   | Communication -> "comm"
 
 (* [category] is a closed enum, so the per-category axis is a plain
-   float array indexed by [category_index] — the simulator charges the
-   ledger on every instruction and a Hashtbl lookup on that path is
-   measurable. *)
+   float array indexed by [category_index]. *)
 let category_index = function
   | Dynamic -> 0
   | Leakage_active -> 1
@@ -66,16 +64,18 @@ let charge t ~category ?component nj =
   | None -> ());
   t.total_cell.(0) <- t.total_cell.(0) +. nj
 
-(* Raw accumulator views for the simulator's per-instruction hot path:
-   without flambda a cross-module call with a float argument boxes the
-   float, so the simulator hand-inlines the accumulation instead.  The
-   contract is documented on the .mli. *)
-
-let raw_by_category t = t.by_category
-let raw_by_component t = t.by_component
-let raw_total t = t.total_cell
-
-let negative_energy () = invalid_arg "Energy_ledger.charge: negative energy"
+let charge_ops t ~unit_nj ops =
+  for i = 0 to Component.count - 1 do
+    let n = ops.(i) in
+    if n > 0 then begin
+      ops.(i) <- 0;
+      let nj = float_of_int n *. unit_nj.(i) in
+      if nj < 0.0 then invalid_arg "Energy_ledger.charge: negative energy";
+      t.by_category.(0) <- t.by_category.(0) +. nj;
+      t.by_component.(i) <- t.by_component.(i) +. nj;
+      t.total_cell.(0) <- t.total_cell.(0) +. nj
+    end
+  done
 
 let total t = t.total_cell.(0)
 

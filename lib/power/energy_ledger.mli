@@ -20,25 +20,14 @@ val create : unit -> t
     component).  Raises [Invalid_argument] on negative energy. *)
 val charge : t -> category:category -> ?component:Component.t -> float -> unit
 
-(** Raw accumulator cells for the simulator's per-instruction hot
-    path.  [raw_by_category] is the category axis at fixed indices
-    (dynamic=0, leak-active=1, leak-idle=2, gating=3, dvfs=4, comm=5),
-    [raw_by_component] the component axis indexed by
-    [Component.index], and [raw_total] a one-element cell holding the
-    running total.  Adding [nj >= 0] to the matching category cell
-    (plus the component cell for attributed charges) and to the total,
-    in that order, is exactly {!charge}; the simulator hand-inlines
-    that because a per-instruction cross-module call with a float
-    argument boxes the float (no flambda).  Call {!negative_energy} in
-    place of a negative add so the error is the same as {!charge}'s. *)
-
-val raw_by_category : t -> float array
-val raw_by_component : t -> float array
-val raw_total : t -> float array
-
-(** Raises the [Invalid_argument] that {!charge} raises on negative
-    energy. *)
-val negative_energy : unit -> 'a
+(** Charge a batch of dynamic operations and consume it: for every
+    component index [i] with [ops.(i) > 0], one {!charge} of
+    [float_of_int ops.(i) *. unit_nj.(i)] under [Dynamic] attributed to
+    that component, in index order; [ops.(i)] is then reset to 0.  The
+    charged value depends only on the counts, not on the order in which
+    the operations were counted.  [unit_nj] and [ops] are indexed by
+    [Component.index]. *)
+val charge_ops : t -> unit_nj:float array -> int array -> unit
 
 val total : t -> float
 val of_category : t -> category -> float

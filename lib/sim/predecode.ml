@@ -28,6 +28,10 @@ type dinstr = {
 type dblock = {
   db_label : Ir.label;
   db_instrs : dinstr array;
+  db_runs : int array;
+      (** [db_runs.(i)] = length of the maximal run of {e summable}
+          instructions starting at [i] (0 when instruction [i] is not
+          summable); see {!summable} *)
   db_term : Ir.term;
 }
 
@@ -44,7 +48,8 @@ type dfunc = {
 }
 
 (** Placeholder for lazily-initialised block caches; never executed. *)
-let dummy_block = { db_label = -1; db_instrs = [||]; db_term = Ir.Ret None }
+let dummy_block =
+  { db_label = -1; db_instrs = [||]; db_runs = [||]; db_term = Ir.Ret None }
 
 let decode_instr (i : Ir.instr) : dinstr =
   let comp = Ir.component_of i in
@@ -55,10 +60,39 @@ let decode_instr (i : Ir.instr) : dinstr =
     di_latency = Ir.base_latency i;
   }
 
+(** Is [i] {e summable}: core-local compute whose whole effect on
+    simulated time and energy is a fixed number of cycles and one
+    dynamic operation of its component (plus, for local memory, one
+    local-store access)?  Registers and frame/ROM memory qualify.
+    Power-state instructions do not (they change the leakage rate or
+    the operating point), nor does anything touching shared memory, the
+    bus, channels, barriers or the call stack.  The simulator keeps the
+    cycles of a run of summable instructions pending and settles them
+    into the clock once, at the end of the run. *)
+let summable (i : Ir.instr) =
+  match i.Ir.idesc with
+  | Ir.Const _ | Ir.Move _ | Ir.Binop _ | Ir.Unop _ | Ir.Mac _ -> true
+  | Ir.Load (_, s, _) | Ir.Store (s, _, _) -> (
+    match s.Ir.sym_space with Ir.Rom | Ir.Frame -> true | Ir.Shared -> false)
+  | Ir.Pg_off _ | Ir.Pg_on _ | Ir.Dvfs _ | Ir.Call _ | Ir.Send _ | Ir.Recv _
+  | Ir.Barrier _ | Ir.Faa _ ->
+    false
+
+let summable_runs (instrs : dinstr array) =
+  let n = Array.length instrs in
+  let runs = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    if summable instrs.(i).di_instr then
+      runs.(i) <- (1 + if i + 1 < n then runs.(i + 1) else 0)
+  done;
+  runs
+
 let decode_block (b : Ir.block) : dblock =
+  let db_instrs = Array.of_list (List.map decode_instr b.Ir.instrs) in
   {
     db_label = b.Ir.bid;
-    db_instrs = Array.of_list (List.map decode_instr b.Ir.instrs);
+    db_instrs;
+    db_runs = summable_runs db_instrs;
     db_term = b.Ir.term;
   }
 

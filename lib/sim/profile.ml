@@ -1,14 +1,18 @@
 (** Source-level energy attribution.
 
     When profiling is on, every nanojoule the simulator charges to a
-    core's {!Lp_power.Energy_ledger} is *also* added to a {e slot} keyed
-    by (function name, source line): the simulator keeps a per-core
-    current-slot pointer that the steppers update before executing each
-    instruction, and each charge site adds the identical float into the
-    slot's matching category cell.  Attribution is a pure observer —
-    ledgers, cycle counts and simulated state are byte-identical with
-    profiling on or off, because no simulated value is read from or
-    rounds through a slot.
+    core's {!Lp_power.Energy_ledger} is *also* attributed to a {e slot}
+    keyed by (function name, source line): the simulator keeps a
+    per-core current-slot pointer that the steppers update before
+    executing each instruction.  Bus, gating and DVFS costs add the
+    float the ledger is charged; compute cost (cycles, their leakage,
+    dynamic operations, cache misses) is attributed as each instruction
+    pends it, at the rates its later ledger charge uses, while the
+    ledger charges a whole energy epoch at once — so per-line sums
+    match the ledger to rounding, not bit for bit.  Attribution is a
+    pure observer — ledgers, cycle counts and simulated state are
+    byte-identical with profiling on or off, because no simulated value
+    is read from or rounds through a slot.
 
     Line 0 means compiler-synthesised code with no surviving source
     provenance (see {!Lp_ir.Ir.loc}).  Two synthetic function names
@@ -18,17 +22,18 @@
 
     Cross-mode byte-equality: within one core, the closure-compiled and
     interpretive steppers execute the same instruction sequence and
-    perform the same charges in the same order, so each (core, slot)
-    accumulates the identical float sums; {!collect} then merges across
+    make the same attributions in the same order (a profiling compiled
+    run pends cost per instruction, like the interpreter), so each
+    (core, slot) accumulates the identical float sums; {!collect} then merges across
     cores in core-id order and emits rows sorted by (function, line),
     making the final profile independent of slot-creation order — the
     compiled mode creates slots eagerly at compile time, the interpreter
     lazily at first execution, and all-zero rows (never-executed code)
     are dropped so both modes produce the same row set. *)
 
-(** Fixed category axis, mirroring
-    [Lp_power.Energy_ledger.raw_by_category]: dynamic=0, leak-active=1,
-    leak-idle=2, gate-ovh=3, dvfs-ovh=4, comm=5. *)
+(** Fixed category axis, in [Lp_power.Energy_ledger.all_categories]
+    order: dynamic=0, leak-active=1, leak-idle=2, gate-ovh=3, dvfs-ovh=4,
+    comm=5. *)
 let num_categories = 6
 
 let category_names =

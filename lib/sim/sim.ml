@@ -12,24 +12,53 @@
     frequency-independent — which is what makes DVFS profitable on
     memory-bound regions).
 
+    {b Pending cost, settle points and energy epochs.}  Compute cost
+    does not touch the clock or the ledger per instruction.  Each core
+    adds its instructions' cycles to a {e pending} integer count, and
+    {!settle} turns that count into clock time at fixed points of the
+    instruction stream:
+
+    - at the end of every maximal run of summable instructions
+      ({!Predecode.summable}: register and local-memory work) that is
+      followed by another instruction;
+    - in every block terminator, after adding its own cycle — so a run
+      that reaches the end of its block settles there;
+    - in every other instruction, before anything another core or the
+      trace can observe.
+
+    A core's clock is therefore stale only inside a summable run, and a
+    core about to execute a globally visible instruction always carries
+    its exact clock into the scheduler.  Energy is coarser still: each
+    core counts its dynamic operations per component, bus words,
+    far-tier accesses and cache misses, and accrues active and idle
+    time, over an {e energy epoch}; {!close_epoch} charges the epoch to
+    the ledger — time at the leakage rate, operations at the operating
+    point, events at their unit energies — whenever an implicit wakeup,
+    a gating change or a DVFS transition is about to change a rate, and
+    at the end of the run.  Every settled or charged value is a function
+    of integer counts and of time accrued in the core's own clock order,
+    so how the counts were gathered does not matter.
+
     Two execution modes produce byte-identical results:
 
     - the default {e closure-compiled} mode pre-decodes every function
-      (see {!Predecode}) and compiles each basic block once into an array
+      (see {!Predecode}) and compiles each basic block once into arrays
       of OCaml closures with operands, memory symbols, call targets and
-      per-point energy/time factors resolved up front, so the steady-state
-      loop is [closure.(idx) core frame] with no constructor dispatch and
-      no hashing;
+      cycle costs resolved up front.  A summable run adds a cost summary
+      precomputed for it (cycle sum, per-component operation counts,
+      local-store accesses, and the terminator's cost when the run ends
+      the block) in one step, then runs closures that carry only value
+      semantics; when a component the run needs is gated, or when
+      profiling, it falls back to per-instruction pending;
     - the {e interpretive} mode ([predecode = false], reachable through
       [LP_NO_SIM_PREDECODE=1] / [--no-sim-predecode]) keeps the original
-      per-instruction match dispatch and serves as the reference the
-      compiled mode is checked against.
+      per-instruction match dispatch, adds each instruction's cost one
+      step at a time, and serves as the reference the compiled mode is
+      checked against.
 
-    The compiled mode is fast because every remaining float operation is
-    one the interpretive mode also performs, in the same order — the
-    speedup comes from deleting lookups (hash tables, [**], divisions,
-    list→array copies), never from reassociating float arithmetic, which
-    is what makes byte-identical cycle/energy output possible. *)
+    Both modes settle and close epochs at the same points with the same
+    counts, so their clocks, ledgers and traces agree bit for bit by
+    construction. *)
 
 module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
@@ -59,28 +88,28 @@ type fentry = {
 }
 
 (** Hot per-core float state, segregated into an all-float record:
-    OCaml stores such records flat (unboxed), so the per-instruction
-    updates below ([time], [busy_ns]) write raw doubles instead of
-    allocating a boxed float per store, as the same mutable fields
-    would inside the mixed [core] record. *)
+    OCaml stores such records flat (unboxed), so the updates below
+    ([time], [busy_ns]) write raw doubles instead of allocating a boxed
+    float per store, as the same mutable fields would inside the mixed
+    [core] record. *)
 type core_clock = {
   mutable time : float;
   mutable busy_ns : float;
   mutable bus_wait_ns : float;   (** time spent waiting for a busy bus *)
   mutable leak_mw : float;
   mutable ns_per_cycle : float;  (** 1000 / f at the current point *)
+  mutable active_ns : float;     (** busy time in the current energy epoch *)
+  mutable idle_ns : float;       (** idle time in the current energy epoch *)
 }
 
 type frame = {
   fcore : core;  (** owning core, so compiled closures are arity-1 *)
   func : Prog.func;
   dfunc : Predecode.dfunc;
-  cfun : cfun;
   regs : Value.t array;
-  fmem : (string, Value.t array) Hashtbl.t;
   farrs : Value.t array array;
-      (** the same arrays as [fmem], in [Prog.frame_arrays] position
-          order, for the compiled mode's index-resolved accesses *)
+      (** frame arrays, in [Prog.frame_arrays] position order; symbols
+          resolve to positions through [Predecode.df_frame_idx] *)
   mutable block : Ir.label;
   mutable idx : int;
   mutable pending_dst : Ir.reg option;
@@ -89,18 +118,35 @@ type frame = {
   mutable cblk : cblock;               (** compiled current block *)
 }
 
+(** Precomputed cost of the summable run suffix starting at one
+    position: what adding each instruction's cost one at a time would
+    add to the pending counts, in one step. *)
+and run_cost = {
+  rc_cycles : int;         (** summed cycle latencies *)
+  rc_need : int;           (** powered mask the run's components need *)
+  rc_comps : int array;    (** component indices used ... *)
+  rc_ops : int array;      (** ... and their operation counts *)
+  rc_local : int;          (** local-store accesses (cache miss model) *)
+  rc_to_end : bool;
+      (** the run reaches the end of its block; the cost then includes
+          the terminator's cycle and branch-unit operation *)
+}
+
 (** One closure-compiled basic block. *)
 and cblock = {
   cb_instrs : (frame -> unit) array;
+      (** per-instruction closures: value semantics plus the
+          instruction's own pending cost and settle points *)
+  cb_vals : (frame -> unit) array;
+      (** value-only closures, read at summable positions only (their
+          cost comes from [cb_cost]) *)
   cb_n : int;
-  cb_pure : int array;
-      (** [cb_pure.(i)] = length of the maximal run of {e pure}
-          instructions starting at [i] (0 when instruction [i] is not
-          pure).  Pure = cannot change the core's status, fire a
-          scheduling event, or push a frame — so the batch loop
-          executes the whole run with no per-instruction checks (see
-          {!run_sched_batch}) *)
-  cb_term : frame -> unit;
+  cb_runs : int array;  (** [Predecode.db_runs] of the block *)
+  cb_cost : run_cost array;
+      (** [cb_cost.(i)]: the cost of the summable run suffix starting
+          at [i] (meaningless where [cb_runs.(i) = 0]) *)
+  cb_term : frame -> unit;  (** the terminator: its cost, then its action *)
+  cb_goto : frame -> unit;  (** the terminator's action alone *)
 }
 
 (** A closure-compiled function.  [cf_blocks] is indexed by block label;
@@ -125,21 +171,18 @@ and core = {
   mutable status : status;
   clk : core_clock;
   mutable point : Operating_point.t;
-  powered : bool array;
+  mutable powered : int;      (** bit [Component.index k] set = k powered *)
   ledger : Energy_ledger.t;
-  (* raw accumulator cells of [ledger], hoisted so the per-instruction
-     charges below are plain float-array read-modify-writes (see
-     Energy_ledger.raw_by_category) *)
-  lg_cat : float array;
-  lg_comp : float array;
-  lg_tot : float array;
-  mutable leak_dirty : bool;
-      (** compiled mode defers {!recompute_leak} to the next clock
-          advance; the interpretive mode recomputes eagerly and never
-          sets this *)
   dyn_row : float array;
       (** per-component dynamic energy at the current point (indexed by
           [Component.index]); refreshed on DVFS transitions *)
+  mutable p_cycles : int;     (** pending compute cycles, see {!settle} *)
+  e_ops : int array;
+      (** dynamic operations per [Component.index] in the current energy
+          epoch, see {!close_epoch} *)
+  mutable e_misses : int;     (** cache misses in the current epoch *)
+  mutable e_words : int;      (** bus and link words in the current epoch *)
+  mutable e_far : int;        (** far-tier accesses in the current epoch *)
   mutable instr_count : int;
   mutable implicit_wakeups : int;
   mutable gate_transitions : int;
@@ -161,7 +204,6 @@ and core = {
           is blocked, so blocked-time leakage lands on the instruction
           that blocked *)
 }
-
 type chan = {
   cap : int;
   queue : (Value.t * float) Queue.t;  (** value, ready time *)
@@ -213,7 +255,6 @@ type t = {
   machine : Machine.t;
   opts : options;
   fsyms : (string, cfun) Hashtbl.t;  (** every function, by name *)
-  dfuncs : (string, Predecode.dfunc) Hashtbl.t;
   decoded_blocks : int;   (** total blocks decoded (once, at creation) *)
   cores : core array;          (** one per entry function *)
   shared : (string, Value.t array) Hashtbl.t;
@@ -240,10 +281,6 @@ type t = {
       (** cores not yet [Halted]; maintained at the two halt sites so
           the scheduler's are-we-done check is one integer compare
           instead of a status scan per iteration *)
-  mutable frames_dirty : bool;
-      (** set by a compiled [Call] when it pushes a frame: the batch
-          loop's cached frame/block are stale and must be re-fetched
-          (terminators are re-fetched unconditionally) *)
   mutable unblock_dirty : bool;
       (** set when the next {!unblock_pass} could possibly make
           progress: a core just blocked on a channel, or anything that
@@ -253,8 +290,7 @@ type t = {
           compiled scheduler skips it *)
   faults_armed : bool;  (** sampled once at construction: keeps the
                             per-transaction bus hook off the hot path *)
-  (* Nominal-frequency constants, hoisted out of the per-access path.
-     All are exactly the values the interpretive mode recomputes. *)
+  (* Nominal-frequency constants, hoisted out of the per-access path. *)
   bus_txn1_ns : float;       (** bus occupancy of a one-word transaction *)
   shared_extra_ns : float;   (** off-bus near-tier shared-memory access time *)
   bus_word_energy_nj : float;
@@ -275,6 +311,8 @@ type t = {
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let[@inline always] is_powered (c : core) ci = c.powered land (1 lsl ci) <> 0
+
 let recompute_leak t (c : core) =
   t.leak_recomputes <- t.leak_recomputes + 1;
   let pm = c.pm in
@@ -282,18 +320,15 @@ let recompute_leak t (c : core) =
   let sum = ref 0.0 in
   List.iter
     (fun comp ->
-      if c.powered.(Component.index comp) then
+      if is_powered c (Component.index comp) then
         sum := !sum +. (pm.Power_model.leak_power_mw comp *. scale))
     t.machine.Machine.components;
-  c.clk.leak_mw <- !sum;
-  c.leak_dirty <- false
+  c.clk.leak_mw <- !sum
 
-(** Refresh the per-core caches derived from the operating point.  The
-    cached values are bit-identical to what the uncached code computes:
-    [ns_of_cycles n] is [float_of_int n *. (1000 /. f)], the class perf
-    scale multiplies in ([x *. 1.0] is bitwise [x], so cores of scale
-    1.0 — every core of every pre-existing machine — are untouched),
-    and [dynamic_energy ~ops:1] is [(1.0 *. e) *. scale = e *. scale]. *)
+(** Refresh the per-core caches derived from the operating point:
+    [ns_per_cycle] is [1000 /. f] times the class perf scale ([x *. 1.0]
+    is bitwise [x], so cores of scale 1.0 are untouched), and
+    [dynamic_energy ~ops:1] is [(1.0 *. e) *. scale = e *. scale]. *)
 let refresh_point_caches _t (c : core) =
   c.clk.ns_per_cycle <-
     1000.0 /. c.point.Operating_point.freq_mhz *. c.perf_scale;
@@ -308,19 +343,16 @@ let refresh_point_caches _t (c : core) =
     Component.all
 
 let dummy_cblock =
-  { cb_instrs = [||]; cb_n = 0; cb_pure = [||];
-    cb_term = (fun _ -> assert false) }
+  { cb_instrs = [||]; cb_vals = [||]; cb_n = 0; cb_runs = [||];
+    cb_cost = [||]; cb_term = (fun _ -> assert false);
+    cb_goto = (fun _ -> assert false) }
 
 let make_frame (fcore : core) (cf : cfun) : frame =
   let f = cf.cf_fe.fe_func in
   let nregs = Lp_util.Id_gen.peek f.Prog.reg_gen in
-  let fmem = Hashtbl.create 4 in
   let farrs = Array.make (List.length f.Prog.frame_arrays) [||] in
   List.iteri
-    (fun k (name, ty, len) ->
-      let a = Array.make len (Value.zero_of_ty ty) in
-      Hashtbl.replace fmem name a;
-      farrs.(k) <- a)
+    (fun k (_, ty, len) -> farrs.(k) <- Array.make len (Value.zero_of_ty ty))
     f.Prog.frame_arrays;
   let cblk =
     if Array.length cf.cf_blocks > 0 then cf.cf_blocks.(f.Prog.entry)
@@ -330,9 +362,7 @@ let make_frame (fcore : core) (cf : cfun) : frame =
     fcore;
     func = f;
     dfunc = cf.cf_fe.fe_dfunc;
-    cfun = cf;
     regs = Array.make (max 1 nregs) (Value.Vint 0);
-    fmem;
     farrs;
     block = f.Prog.entry;
     idx = 0;
@@ -341,7 +371,6 @@ let make_frame (fcore : core) (cf : cfun) : frame =
     dblk = Predecode.dummy_block;
     cblk;
   }
-
 (* Boxing the initial [Value.t] image of a program's globals dominates
    [create] for data-heavy programs (one allocation plus a write-barrier
    store per initialised element), and the image is a pure function of
@@ -390,21 +419,12 @@ let init_shared (prog : Prog.t) =
 (* Time & energy plumbing                                              *)
 (* ------------------------------------------------------------------ *)
 
-let record t (c : core) fmt =
-  Format.kasprintf
-    (fun what ->
-      if t.trace_len < t.opts.trace_limit then begin
-        t.trace <- { ev_core = c.id; ev_ns = c.clk.time; ev_what = what } :: t.trace;
-        t.trace_len <- t.trace_len + 1
-      end)
-    fmt
-
-(** Trace hook for the compiled mode: the description string is only
-    built when it will actually be kept, so tracing costs nothing when
-    [trace_limit] is 0 (the overwhelmingly common case). *)
-let record_thunk t (c : core) f =
+(** Record a trace event; the description is only built when it will
+    actually be kept, so tracing costs nothing when [trace_limit] is 0
+    (the overwhelmingly common case). *)
+let record t (c : core) describe =
   if t.trace_len < t.opts.trace_limit then begin
-    t.trace <- { ev_core = c.id; ev_ns = c.clk.time; ev_what = f () } :: t.trace;
+    t.trace <- { ev_core = c.id; ev_ns = c.clk.time; ev_what = describe () } :: t.trace;
     t.trace_len <- t.trace_len + 1
   end
 
@@ -413,190 +433,218 @@ let record_thunk t (c : core) f =
    a plain comparison computes the identical value. *)
 let[@inline always] fmax a b : float = if a >= b then a else b
 
-(* via the ns-per-cycle cache so the class perf scale applies; on scale
-   1.0 this is bitwise [Operating_point.ns_of_cycles c.point n] *)
-let cycle_ns (c : core) n = float_of_int n *. c.clk.ns_per_cycle
-
 (* the bus and shared memory tick at the machine's reference clock:
    nominal frequency of core class 0 *)
 let nominal_ns t n =
   Operating_point.ns_of_cycles
     (Power_model.nominal (Machine.ref_power t.machine)) n
 
-(** Advance a core's clock, charging leakage of powered components.  The
-    compiled mode marks leakage dirty on power events instead of
-    recomputing eagerly; the value is refreshed here, at the first
-    advance that reads it — which is exactly when the eager recompute
-    would first be observable. *)
-let[@inline always] advance t (c : core) dt ~idle =
-  if dt > 0.0 then begin
-    if c.leak_dirty then recompute_leak t c;
-    (* hand-inlined [Energy_ledger.charge ~category:Leakage_*]: same
-       check, same accumulation order (category then total) *)
-    let nj = c.clk.leak_mw *. dt *. 1e-3 in
-    if nj < 0.0 then Energy_ledger.negative_energy ();
-    (* unchecked: the accumulator arrays have fixed sizes (6 categories,
-       1 total cell) and every index below is a constant or a
-       [Component.index], in range by construction *)
-    let lci = if idle then 2 else 1 in
-    Array.unsafe_set c.lg_cat lci (Array.unsafe_get c.lg_cat lci +. nj);
-    Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
-    if c.prof_on then begin
-      let sc = c.prof_cur.Profile.sl_cat in
-      Array.unsafe_set sc lci (Array.unsafe_get sc lci +. nj)
-    end;
-    c.clk.time <- c.clk.time +. dt;
-    if not idle then c.clk.busy_ns <- c.clk.busy_ns +. dt
-  end
-
-(** Bring a blocked core forward to absolute time [target] (idle). *)
-let resume_at t (c : core) target =
-  if target > c.clk.time then advance t c (target -. c.clk.time) ~idle:true
-
-(** Issue [n] compute cycles on [c]: advances its clock (stretched by the
-    current operating point) and feeds the per-core cycle counter. *)
-let spend t (c : core) n =
-  c.cycles <- c.cycles + n;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + n;
-  advance t c (cycle_ns c n) ~idle:false
-
-let charge_dynamic _t (c : core) comp =
-  let pm = c.pm in
-  let nj = Power_model.dynamic_energy pm ~comp ~point:c.point ~ops:1 in
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Dynamic ~component:comp
-    nj;
+(* The profile's category axis is the ledger's: dynamic=0,
+   leak-active=1, leak-idle=2, gate-ovh=3, dvfs-ovh=4, comm=5. *)
+let[@inline always] prof_add (c : core) cat nj =
   if c.prof_on then begin
     let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
+    Array.unsafe_set sc cat (Array.unsafe_get sc cat +. nj)
   end
 
-(** Serialise a shared-bus transaction: the core waits for the bus, holds
-    it for the transfer, then pays [extra_ns] (e.g. memory array access)
-    off the bus. *)
-let bus_access t (c : core) ~words ~extra_ns =
-  (* armed only by fault-injection specs: a transient bus/memory fault *)
-  if t.faults_armed then
-    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
-  let m = t.machine in
-  let start = fmax c.clk.time t.bus_free.(0) in
-  let bus_ns =
-    nominal_ns t (m.Machine.bus_latency_cycles + (words * m.Machine.bus_word_cycles))
-  in
-  c.bus_txns <- c.bus_txns + 1;
-  c.bus_words <- c.bus_words + words;
-  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  let nj = float_of_int words *. m.Machine.bus_energy_per_word_nj in
-  if c.prof_on then begin
-    let s = c.prof_cur in
-    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
-    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + words;
-    s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
-  end;
-  t.bus_free.(0) <- start +. bus_ns;
-  let finish = start +. bus_ns +. extra_ns in
-  advance t c (finish -. c.clk.time) ~idle:false;
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj
-
-(** Interpretive-mode shared access: one bus transaction plus the
-    latency of the tier the symbol lives in; a far-tier access also pays
-    the tier's per-access energy (Communication).  [far_syms] is empty
-    on near-only machines, so their path is exactly the old one. *)
-let shared_access t (c : core) (s : Ir.sym) =
-  if Hashtbl.mem t.far_syms s.Ir.sym_name then begin
-    bus_access t c ~words:1 ~extra_ns:t.far_extra_ns;
-    let nj = t.far_energy_nj in
-    Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj;
-    if c.prof_on then begin
-      let sc = c.prof_cur.Profile.sl_cat in
-      Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
+(** Advance a core's clock by [dt]; the time accrues to the current
+    energy epoch, whose leakage {!close_epoch} charges. *)
+let[@inline always] tick (c : core) dt ~idle =
+  if dt > 0.0 then begin
+    let k = c.clk in
+    k.time <- k.time +. dt;
+    if idle then k.idle_ns <- k.idle_ns +. dt
+    else begin
+      k.busy_ns <- k.busy_ns +. dt;
+      k.active_ns <- k.active_ns +. dt
     end
   end
-  else
-    bus_access t c ~words:1
-      ~extra_ns:(nominal_ns t (Machine.shared_mem_latency_cycles t.machine))
+
+(** {!tick}, also attributing the leakage to the current profile slot. *)
+let[@inline always] advance (c : core) dt ~idle =
+  if dt > 0.0 then
+    prof_add c (if idle then 2 else 1) (c.clk.leak_mw *. dt *. 1e-3);
+  tick c dt ~idle
+
+(** Bring a blocked core forward to absolute time [target] (idle). *)
+let resume_at (c : core) target =
+  if target > c.clk.time then advance c (target -. c.clk.time) ~idle:true
+
+(** Turn [c]'s pending compute cycles into clock time, stretched by the
+    current operating point.  Profile attribution already happened when
+    each cost was pended. *)
+let[@inline always] settle (c : core) =
+  let n = c.p_cycles in
+  if n > 0 then begin
+    c.p_cycles <- 0;
+    c.cycles <- c.cycles + n;
+    tick c (float_of_int n *. c.clk.ns_per_cycle) ~idle:false
+  end
+
+(** Settle, then charge the current energy epoch to the ledger and start
+    a new one: leakage over the epoch's active and idle time at its
+    leakage rate, its dynamic operations at its operating point, and its
+    bus words, far-tier accesses and cache misses at their fixed unit
+    energies.  Every change of the leakage rate or the operating
+    point closes the epoch first, and so does the end of the run, so
+    each charge prices its time and operations at the rates that held
+    while they accrued. *)
+let close_epoch t (c : core) =
+  settle c;
+  let k = c.clk in
+  if k.active_ns > 0.0 then begin
+    Energy_ledger.charge c.ledger ~category:Energy_ledger.Leakage_active
+      (k.leak_mw *. k.active_ns *. 1e-3);
+    k.active_ns <- 0.0
+  end;
+  if k.idle_ns > 0.0 then begin
+    Energy_ledger.charge c.ledger ~category:Energy_ledger.Leakage_idle
+      (k.leak_mw *. k.idle_ns *. 1e-3);
+    k.idle_ns <- 0.0
+  end;
+  Energy_ledger.charge_ops c.ledger ~unit_nj:c.dyn_row c.e_ops;
+  let comm count unit_nj =
+    if count > 0 then
+      Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication
+        (float_of_int count *. unit_nj)
+  in
+  comm c.e_words t.bus_word_energy_nj;
+  comm c.e_far t.far_energy_nj;
+  comm c.e_misses t.cache_miss_energy_nj;
+  c.e_words <- 0;
+  c.e_far <- 0;
+  c.e_misses <- 0
+
+(* Pending-cost primitives.  With profiling on, each cost is also
+   attributed to the executing instruction's slot as it is pended,
+   priced at the leakage rate and operating point in force — the ones
+   its epoch will be charged at, because every change of either closes
+   the epoch first.  The per-line sums therefore match the ledger to
+   rounding (~1e-9 relative), not bit for bit. *)
+
+(* the profile share of [n] cycles: the cycles and their leakage *)
+let prof_cycles (c : core) n =
+  let s = c.prof_cur in
+  s.Profile.sl_cycles <- s.Profile.sl_cycles + n;
+  prof_add c 1 (c.clk.leak_mw *. (float_of_int n *. c.clk.ns_per_cycle) *. 1e-3)
+
+let add_cycles (c : core) n =
+  c.p_cycles <- c.p_cycles + n;
+  if c.prof_on then prof_cycles c n
+
+let retire (c : core) =
+  c.instr_count <- c.instr_count + 1;
+  if c.prof_on then
+    c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
+
+let charge_gating (c : core) =
+  let ge = c.pm.Power_model.gate_energy_nj in
+  Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead ge;
+  prof_add c 3 ge
+
+(** An instruction executing on a gated component: implicit wakeup with
+    the full penalty.  Correct compiler output never triggers this. *)
+let wakeup t (c : core) ci =
+  close_epoch t c;
+  c.powered <- c.powered lor (1 lsl ci);
+  recompute_leak t c;
+  c.implicit_wakeups <- c.implicit_wakeups + 1;
+  record t c (fun () ->
+      "IMPLICIT WAKEUP of " ^ Component.to_string (Component.of_index ci));
+  c.gate_transitions <- c.gate_transitions + 1;
+  charge_gating c;
+  add_cycles c c.pm.Power_model.wake_latency_cycles
+
+let[@inline always] wake_check t (c : core) ci =
+  if not (is_powered c ci) then wakeup t c ci
+
+(** Pend one instruction's compute cost: [lat] cycles and one dynamic
+    operation of component [ci], after waking [ci] if it is gated. *)
+let pend t (c : core) ci lat =
+  wake_check t c ci;
+  c.p_cycles <- c.p_cycles + lat;
+  Array.unsafe_set c.e_ops ci (Array.unsafe_get c.e_ops ci + 1);
+  c.instr_count <- c.instr_count + 1;
+  if c.prof_on then begin
+    prof_cycles c lat;
+    prof_add c 0 (Array.unsafe_get c.dyn_row ci);
+    c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
+  end
+
+let branch_idx = Component.index Component.Branch_unit
+
+(** A block terminator: one cycle and one branch-unit operation, then
+    settle — every block ends with an exact clock. *)
+let pend_term (c : core) =
+  c.p_cycles <- c.p_cycles + 1;
+  Array.unsafe_set c.e_ops branch_idx (Array.unsafe_get c.e_ops branch_idx + 1);
+  if c.prof_on then begin
+    prof_cycles c 1;
+    prof_add c 0 (Array.unsafe_get c.dyn_row branch_idx)
+  end;
+  settle c
 
 (** Deterministic periodic miss model for cache local stores: every
-    [miss_period]-th local access pays the refill penalty and energy.
+    [miss_period]-th local access pends the refill penalty and one miss.
     A period of 0 (scratchpad machines) makes this a no-op. *)
-let local_miss t (c : core) =
+let local_access t (c : core) =
   if t.cache_miss_period > 0 then begin
     c.local_accs <- c.local_accs + 1;
     if c.local_accs >= t.cache_miss_period then begin
       c.local_accs <- 0;
-      spend t c t.cache_miss_penalty;
-      let nj = t.cache_miss_energy_nj in
-      Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj;
-      if c.prof_on then begin
-        let sc = c.prof_cur.Profile.sl_cat in
-        Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
-      end
+      add_cycles c t.cache_miss_penalty;
+      c.e_misses <- c.e_misses + 1;
+      prof_add c 5 t.cache_miss_energy_nj
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Memory                                                              *)
-(* ------------------------------------------------------------------ *)
+(** Add a precomputed summable-run cost to the pending counts: exactly
+    what pending its instructions one at a time would add. *)
+let[@inline always] add_run t (c : core) (rc : run_cost) n =
+  c.p_cycles <- c.p_cycles + rc.rc_cycles;
+  let comps = rc.rc_comps and ops = rc.rc_ops in
+  for j = 0 to Array.length comps - 1 do
+    let ci = Array.unsafe_get comps j in
+    Array.unsafe_set c.e_ops ci (Array.unsafe_get c.e_ops ci + Array.unsafe_get ops j)
+  done;
+  c.instr_count <- c.instr_count + n;
+  if rc.rc_local > 0 && t.cache_miss_period > 0 then begin
+    let a = c.local_accs + rc.rc_local in
+    let misses = a / t.cache_miss_period in
+    c.local_accs <- a - (misses * t.cache_miss_period);
+    c.p_cycles <- c.p_cycles + (misses * t.cache_miss_penalty);
+    c.e_misses <- c.e_misses + misses
+  end
 
-let runtime_err fmt = Format.kasprintf (fun s -> raise (Value.Runtime_error s)) fmt
-
-let mem_array t (fr : frame) (s : Ir.sym) : Value.t array =
-  match s.Ir.sym_space with
-  | Ir.Shared | Ir.Rom -> (
-    match Hashtbl.find_opt t.shared s.Ir.sym_name with
-    | Some a -> a
-    | None -> runtime_err "unknown global %s" s.Ir.sym_name)
-  | Ir.Frame -> (
-    match Hashtbl.find_opt fr.fmem s.Ir.sym_name with
-    | Some a -> a
-    | None -> runtime_err "unknown frame array %s" s.Ir.sym_name)
-
-let mem_read t fr s idx =
-  let a = mem_array t fr s in
-  if idx < 0 || idx >= Array.length a then
-    runtime_err "out-of-bounds read %s[%d] (len %d) in %s" (Ir.sym_to_string s)
-      idx (Array.length a) fr.func.Prog.fname;
-  a.(idx)
-
-let mem_write t fr s idx v =
-  let a = mem_array t fr s in
-  if idx < 0 || idx >= Array.length a then
-    runtime_err "out-of-bounds write %s[%d] (len %d) in %s" (Ir.sym_to_string s)
-      idx (Array.length a) fr.func.Prog.fname;
-  a.(idx) <- v
-
-(* ------------------------------------------------------------------ *)
-(* Instruction execution (interpretive mode)                           *)
-(* ------------------------------------------------------------------ *)
-
-let eval (fr : frame) = function
-  | Ir.Reg r -> fr.regs.(r)
-  | Ir.Imm c -> Value.of_const c
-
-let setr (fr : frame) r v = fr.regs.(r) <- v
-
-(** Handle an instruction executing on a gated component: implicit wakeup
-    with full penalty.  Correct compiler output never triggers this. *)
-let ensure_powered t (c : core) comp =
-  let i = Component.index comp in
-  if not c.powered.(i) then begin
-    let pm = c.pm in
-    c.powered.(i) <- true;
-    recompute_leak t c;
-    c.implicit_wakeups <- c.implicit_wakeups + 1;
-    record t c "IMPLICIT WAKEUP of %s" (Component.to_string comp);
-    c.gate_transitions <- c.gate_transitions + 1;
-    Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-      pm.Power_model.gate_energy_nj;
-    if c.prof_on then begin
-      let sc = c.prof_cur.Profile.sl_cat in
-      Array.unsafe_set sc 3
-        (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-    end;
-    spend t c pm.Power_model.wake_latency_cycles
+(** One-word shared-memory bus transaction (loads, stores, faa): wait
+    for the bus, hold it for the transfer, then pay the access latency
+    of the tier the symbol lives in off the bus.  A far-tier access also
+    pays the tier's per-access energy (Communication). *)
+let bus_access t (c : core) ~far =
+  (* armed only by fault-injection specs: a transient bus/memory fault *)
+  if t.faults_armed then
+    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
+  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
+  c.bus_txns <- c.bus_txns + 1;
+  c.bus_words <- c.bus_words + 1;
+  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
+  if c.prof_on then begin
+    let s = c.prof_cur in
+    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
+    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
+    s.Profile.sl_bus_wait_ns <-
+      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
+    prof_add c 5 t.bus_word_energy_nj
+  end;
+  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
+  let finish =
+    start +. t.bus_txn1_ns +. if far then t.far_extra_ns else t.shared_extra_ns
+  in
+  advance c (finish -. c.clk.time) ~idle:false;
+  c.e_words <- c.e_words + 1;
+  if far then begin
+    c.e_far <- c.e_far + 1;
+    prof_add c 5 t.far_energy_nj
   end
 
 (* channels ride dedicated core-to-core mailbox links (as on PAC-style
@@ -608,16 +656,11 @@ let complete_send t (sender : core) chan_id v =
   let link_ns =
     nominal_ns t (m.Machine.bus_latency_cycles + m.Machine.bus_word_cycles)
   in
-  advance t sender link_ns ~idle:false;
-  Energy_ledger.charge sender.ledger ~category:Energy_ledger.Communication
-    m.Machine.bus_energy_per_word_nj;
-  if sender.prof_on then begin
-    (* a sender unblocked by [unblock_pass] still points at its Send
-       slot, so the deferred transfer energy attributes correctly *)
-    let sc = sender.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 5
-      (Array.unsafe_get sc 5 +. m.Machine.bus_energy_per_word_nj)
-  end;
+  advance sender link_ns ~idle:false;
+  sender.e_words <- sender.e_words + 1;
+  (* a sender unblocked by [unblock_pass] still points at its Send slot,
+     so the deferred transfer energy attributes correctly *)
+  prof_add sender 5 t.bus_word_energy_nj;
   Queue.push (v, sender.clk.time) ch.queue;
   ch.total_msgs <- ch.total_msgs + 1;
   (* a blocked receiver may now have data *)
@@ -636,7 +679,7 @@ let release_barrier t bid =
     List.iter
       (fun (cid, _) ->
         let c = t.cores.(cid) in
-        resume_at t c release;
+        resume_at c release;
         c.status <- Ready)
       b.arrived;
     b.arrived <- [];
@@ -645,10 +688,206 @@ let release_barrier t bid =
     t.unblock_dirty <- true
   end
 
+(* ------------------------------------------------------------------ *)
+(* Memory                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let runtime_err fmt = Format.kasprintf (fun s -> raise (Value.Runtime_error s)) fmt
+
+let mem_array t (fr : frame) (s : Ir.sym) : Value.t array =
+  match s.Ir.sym_space with
+  | Ir.Shared | Ir.Rom -> (
+    match Hashtbl.find_opt t.shared s.Ir.sym_name with
+    | Some a -> a
+    | None -> runtime_err "unknown global %s" s.Ir.sym_name)
+  | Ir.Frame -> (
+    match Hashtbl.find_opt fr.dfunc.Predecode.df_frame_idx s.Ir.sym_name with
+    | Some k -> fr.farrs.(k)
+    | None -> runtime_err "unknown frame array %s" s.Ir.sym_name)
+
+let mem_read t fr s idx =
+  let a = mem_array t fr s in
+  if idx < 0 || idx >= Array.length a then
+    runtime_err "out-of-bounds read %s[%d] (len %d) in %s" (Ir.sym_to_string s)
+      idx (Array.length a) fr.func.Prog.fname;
+  a.(idx)
+
+let mem_write t fr s idx v =
+  let a = mem_array t fr s in
+  if idx < 0 || idx >= Array.length a then
+    runtime_err "out-of-bounds write %s[%d] (len %d) in %s" (Ir.sym_to_string s)
+      idx (Array.length a) fr.func.Prog.fname;
+  a.(idx) <- v
+
+(* ------------------------------------------------------------------ *)
+(* Instruction costs and effects shared by both steppers               *)
+(* ------------------------------------------------------------------ *)
+
+(** Cycles of a local-store (frame/ROM) load or store. *)
+let local_latency t = 1 + Machine.spm_latency_cycles t.machine
+
+(** The cost of a summable instruction: its cycle latency, and whether
+    it is a local-store access. *)
+let summable_cost t (di : Predecode.dinstr) =
+  match di.Predecode.di_instr.Ir.idesc with
+  | Ir.Load _ | Ir.Store _ -> (local_latency t, true)
+  | _ -> (di.Predecode.di_latency, false)
+
+(** A shared-memory instruction's cost: pend and settle its own cycles,
+    then one bus transaction. *)
+let shared_op t (c : core) ci lat ~far =
+  pend t c ci lat;
+  settle c;
+  bus_access t c ~far
+
+let exec_pg_off t (c : core) ci comps =
+  wake_check t c ci;
+  add_cycles c 1;
+  retire c;
+  close_epoch t c;
+  record t c (fun () -> "pg_off " ^ Component.Set.to_string comps);
+  let any = ref false in
+  Component.Set.iter
+    (fun comp ->
+      let k = Component.index comp in
+      if is_powered c k then begin
+        c.powered <- c.powered land lnot (1 lsl k);
+        any := true;
+        c.gate_transitions <- c.gate_transitions + 1;
+        charge_gating c
+      end)
+    comps;
+  if !any then recompute_leak t c
+
+let exec_pg_on t (c : core) ci comps =
+  wake_check t c ci;
+  close_epoch t c;
+  record t c (fun () -> "pg_on " ^ Component.Set.to_string comps);
+  let any = ref false in
+  Component.Set.iter
+    (fun comp ->
+      let k = Component.index comp in
+      if not (is_powered c k) then begin
+        c.powered <- c.powered lor (1 lsl k);
+        any := true;
+        c.gate_transitions <- c.gate_transitions + 1;
+        charge_gating c
+      end)
+    comps;
+  if !any then recompute_leak t c;
+  (* components wake in parallel: one wake latency (this class's) *)
+  add_cycles c (if !any then 1 + c.pm.Power_model.wake_latency_cycles else 1);
+  retire c;
+  settle c
+
+(* The ladder belongs to the executing core's class; an absent level
+   raises [Power_model.point]'s error before any cost is paid. *)
+let exec_dvfs t (c : core) ci level =
+  wake_check t c ci;
+  let pm = c.pm in
+  let target = Power_model.point pm level in
+  if target.Operating_point.level <> c.point.Operating_point.level then begin
+    (* the transition itself runs at the old point *)
+    add_cycles c pm.Power_model.dvfs_latency_cycles;
+    retire c;
+    close_epoch t c;
+    let de = pm.Power_model.dvfs_energy_nj in
+    Energy_ledger.charge c.ledger ~category:Energy_ledger.Dvfs_overhead de;
+    prof_add c 4 de;
+    c.point <- target;
+    refresh_point_caches t c;
+    recompute_leak t c;
+    c.dvfs_transitions <- c.dvfs_transitions + 1;
+    record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
+  end
+  else begin
+    add_cycles c 1;
+    retire c;
+    settle c
+  end
+
+let exec_send t (c : core) ci chan_id v =
+  pend t c ci t.machine.Machine.channel_setup_cycles;
+  settle c;
+  let ch = t.chans.(chan_id) in
+  if Queue.length ch.queue >= ch.cap then begin
+    c.send_blocks <- c.send_blocks + 1;
+    record t c (fun () -> Printf.sprintf "blocked sending on ch%d" chan_id);
+    Queue.push c.id ch.waiting_senders;
+    c.status <- Blocked_send (chan_id, v);
+    t.unblock_dirty <- true
+  end
+  else complete_send t c chan_id v
+
+let exec_recv t (c : core) (fr : frame) ci d chan_id ty =
+  pend t c ci t.machine.Machine.channel_setup_cycles;
+  settle c;
+  let ch = t.chans.(chan_id) in
+  if Queue.is_empty ch.queue then begin
+    c.recv_blocks <- c.recv_blocks + 1;
+    record t c (fun () -> Printf.sprintf "blocked receiving on ch%d" chan_id);
+    c.status <- Blocked_recv (chan_id, d, ty);
+    t.unblock_dirty <- true
+  end
+  else begin
+    let (v, ready) = Queue.pop ch.queue in
+    (* a slot freed: a blocked sender may now complete *)
+    t.sched_event <- true;
+    t.unblock_dirty <- true;
+    resume_at c ready;
+    ch.last_pop <- fmax ch.last_pop c.clk.time;
+    (match (ty, v) with
+    | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
+    | _ -> runtime_err "channel %d type mismatch" chan_id);
+    fr.regs.(d) <- v
+  end
+
+let exec_barrier t (c : core) ci bid =
+  pend t c ci 1;
+  settle c;
+  let b = t.barriers.(bid) in
+  record t c (fun () -> Printf.sprintf "arrived at barrier %d" bid);
+  b.arrived <- (c.id, c.clk.time) :: b.arrived;
+  c.status <- Blocked_barrier bid;
+  release_barrier t bid
+
+(** Return from the current frame (its terminator already paid): halt
+    the core on the last frame, else hand [v] to the caller. *)
+let exec_ret t (c : core) v =
+  match c.stack with
+  | [] -> runtime_err "return with empty stack"
+  | _ :: [] ->
+    record t c (fun () ->
+        "halt"
+        ^
+        match v with
+        | Some value -> " -> " ^ Value.to_string value
+        | None -> "");
+    c.status <- Halted v;
+    t.live_cores <- t.live_cores - 1
+  | _ :: (caller :: _ as rest) ->
+    c.stack <- rest;
+    (match (caller.pending_dst, v) with
+    | (Some d, Some value) -> caller.regs.(d) <- value
+    | (Some _, None) -> runtime_err "void return into a register"
+    | (None, _) -> ());
+    caller.pending_dst <- None
+
+(* ------------------------------------------------------------------ *)
+(* Instruction execution (interpretive mode)                           *)
+(* ------------------------------------------------------------------ *)
+
+let eval (fr : frame) = function
+  | Ir.Reg r -> fr.regs.(r)
+  | Ir.Imm c -> Value.of_const c
+
+let setr (fr : frame) r v = fr.regs.(r) <- v
+
+let is_far t (s : Ir.sym) = Hashtbl.mem t.far_syms s.Ir.sym_name
+
 (** Execute the terminator of the current block. *)
 let exec_term t (c : core) (fr : frame) (term : Ir.term) =
-  spend t c 1;
-  charge_dynamic t c Component.Branch_unit;
+  pend_term c;
   match term with
   | Ir.Jmp l ->
     fr.block <- l;
@@ -656,87 +895,53 @@ let exec_term t (c : core) (fr : frame) (term : Ir.term) =
   | Ir.Br (cond, l1, l2) ->
     fr.block <- (if Value.is_true (eval fr cond) then l1 else l2);
     fr.idx <- 0
-  | Ir.Ret v_opt -> (
-    let v = Option.map (eval fr) v_opt in
-    match c.stack with
-    | [] -> runtime_err "return with empty stack"
-    | _ :: [] ->
-      record t c "halt%s"
-        (match v with
-        | Some value -> " -> " ^ Value.to_string value
-        | None -> "");
-      c.status <- Halted v;
-      t.live_cores <- t.live_cores - 1
-    | _ :: (caller :: _ as rest) ->
-      c.stack <- rest;
-      (match (caller.pending_dst, v) with
-      | (Some d, Some value) -> setr caller d value
-      | (Some _, None) -> runtime_err "void return into a register"
-      | (None, _) -> ());
-      caller.pending_dst <- None)
+  | Ir.Ret v_opt -> exec_ret t c (Option.map (eval fr) v_opt)
 
 let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
-  let comp = di.Predecode.di_comp in
-  ensure_powered t c comp;
-  let pm = c.pm in
-  let i = di.Predecode.di_instr in
-  let simple_cost () =
-    spend t c di.Predecode.di_latency;
-    charge_dynamic t c comp
-  in
-  (match i.Ir.idesc with
+  let ci = di.Predecode.di_comp_idx in
+  let lat = di.Predecode.di_latency in
+  match di.Predecode.di_instr.Ir.idesc with
   | Ir.Const (d, cst) ->
-    simple_cost ();
+    pend t c ci lat;
     setr fr d (Value.of_const cst)
   | Ir.Move (d, a) ->
-    simple_cost ();
+    pend t c ci lat;
     setr fr d (eval fr a)
   | Ir.Binop (op, d, a, b) ->
-    simple_cost ();
+    pend t c ci lat;
     setr fr d (Value.binop op (eval fr a) (eval fr b))
   | Ir.Unop (op, d, a) ->
-    simple_cost ();
+    pend t c ci lat;
     setr fr d (Value.unop op (eval fr a))
   | Ir.Mac (d, a, b, cc) ->
-    simple_cost ();
+    pend t c ci lat;
     setr fr d (Value.mac (eval fr a) (eval fr b) (eval fr cc))
-  | Ir.Load (d, s, idx) -> (
+  | Ir.Load (d, s, idx) ->
     let idx = Value.to_int (eval fr idx) in
-    match s.Ir.sym_space with
-    | Ir.Shared ->
-      spend t c 1;
-      charge_dynamic t c comp;
-      shared_access t c s;
-      setr fr d (mem_read t fr s idx)
+    (match s.Ir.sym_space with
+    | Ir.Shared -> shared_op t c ci lat ~far:(is_far t s)
     | Ir.Rom | Ir.Frame ->
-      spend t c (1 + Machine.spm_latency_cycles t.machine);
-      local_miss t c;
-      charge_dynamic t c comp;
-      setr fr d (mem_read t fr s idx))
-  | Ir.Store (s, idx, v) -> (
+      pend t c ci (local_latency t);
+      local_access t c);
+    setr fr d (mem_read t fr s idx)
+  | Ir.Store (s, idx, v) ->
     let idx = Value.to_int (eval fr idx) in
     let v = eval fr v in
-    match s.Ir.sym_space with
-    | Ir.Shared ->
-      spend t c 1;
-      charge_dynamic t c comp;
-      shared_access t c s;
-      mem_write t fr s idx v
+    (match s.Ir.sym_space with
+    | Ir.Shared -> shared_op t c ci lat ~far:(is_far t s)
     | Ir.Rom | Ir.Frame ->
-      spend t c (1 + Machine.spm_latency_cycles t.machine);
-      local_miss t c;
-      charge_dynamic t c comp;
-      mem_write t fr s idx v)
+      pend t c ci (local_latency t);
+      local_access t c);
+    mem_write t fr s idx v
   | Ir.Faa (d, s, amount) ->
     let amount = Value.to_int (eval fr amount) in
-    spend t c 2;
-    charge_dynamic t c comp;
-    shared_access t c s;
+    shared_op t c ci lat ~far:(is_far t s);
     let old = Value.to_int (mem_read t fr s 0) in
     mem_write t fr s 0 (Value.Vint (Value.wrap32 (old + amount)));
     setr fr d (Value.Vint old)
   | Ir.Call (dst, callee, args) -> (
-    simple_cost ();
+    pend t c ci lat;
+    settle c;
     match Hashtbl.find_opt t.fsyms callee with
     | None -> runtime_err "call to unknown function %s" callee
     | Some cf ->
@@ -754,109 +959,12 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       if bound <> nparams then runtime_err "arity mismatch calling %s" callee;
       fr.pending_dst <- dst;
       c.stack <- new_fr :: c.stack)
-  | Ir.Pg_off comps ->
-    spend t c 1;
-    record t c "pg_off %s" (Component.Set.to_string comps);
-    Component.Set.iter
-      (fun comp ->
-        let k = Component.index comp in
-        if c.powered.(k) then begin
-          c.powered.(k) <- false;
-          c.gate_transitions <- c.gate_transitions + 1;
-          Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-            pm.Power_model.gate_energy_nj;
-          if c.prof_on then begin
-            let sc = c.prof_cur.Profile.sl_cat in
-            Array.unsafe_set sc 3
-              (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-          end
-        end)
-      comps;
-    recompute_leak t c
-  | Ir.Pg_on comps ->
-    record t c "pg_on %s" (Component.Set.to_string comps);
-    let any = ref false in
-    Component.Set.iter
-      (fun comp ->
-        let k = Component.index comp in
-        if not c.powered.(k) then begin
-          c.powered.(k) <- true;
-          any := true;
-          c.gate_transitions <- c.gate_transitions + 1;
-          Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-            pm.Power_model.gate_energy_nj;
-          if c.prof_on then begin
-            let sc = c.prof_cur.Profile.sl_cat in
-            Array.unsafe_set sc 3
-              (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-          end
-        end)
-      comps;
-    recompute_leak t c;
-    (* components wake in parallel: one wake latency *)
-    let stall = if !any then pm.Power_model.wake_latency_cycles else 0 in
-    spend t c (1 + stall)
-  | Ir.Dvfs level ->
-    let target = Power_model.point pm level in
-    if target.Operating_point.level <> c.point.Operating_point.level then begin
-      spend t c pm.Power_model.dvfs_latency_cycles;
-      Energy_ledger.charge c.ledger ~category:Energy_ledger.Dvfs_overhead
-        pm.Power_model.dvfs_energy_nj;
-      if c.prof_on then begin
-        let sc = c.prof_cur.Profile.sl_cat in
-        Array.unsafe_set sc 4
-          (Array.unsafe_get sc 4 +. pm.Power_model.dvfs_energy_nj)
-      end;
-      c.point <- target;
-      refresh_point_caches t c;
-      c.dvfs_transitions <- c.dvfs_transitions + 1;
-      record t c "dvfs -> %s" (Operating_point.to_string target);
-      recompute_leak t c
-    end
-    else spend t c 1
-  | Ir.Send (chan_id, v) ->
-    spend t c t.machine.Machine.channel_setup_cycles;
-    charge_dynamic t c comp;
-    let v = eval fr v in
-    let ch = t.chans.(chan_id) in
-    if Queue.length ch.queue >= ch.cap then begin
-      c.send_blocks <- c.send_blocks + 1;
-      record t c "blocked sending on ch%d" chan_id;
-      Queue.push c.id ch.waiting_senders;
-      c.status <- Blocked_send (chan_id, v);
-      t.unblock_dirty <- true
-    end
-    else complete_send t c chan_id v
-  | Ir.Recv (d, chan_id, ty) ->
-    spend t c t.machine.Machine.channel_setup_cycles;
-    charge_dynamic t c comp;
-    let ch = t.chans.(chan_id) in
-    if Queue.is_empty ch.queue then begin
-      c.recv_blocks <- c.recv_blocks + 1;
-      record t c "blocked receiving on ch%d" chan_id;
-      c.status <- Blocked_recv (chan_id, d, ty);
-      t.unblock_dirty <- true
-    end
-    else begin
-      let (v, ready) = Queue.pop ch.queue in
-      resume_at t c ready;
-      ch.last_pop <- fmax ch.last_pop c.clk.time;
-      (match (ty, v) with
-      | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-      | _ -> runtime_err "channel %d type mismatch" chan_id);
-      setr fr d v
-    end
-  | Ir.Barrier bid ->
-    spend t c 1;
-    charge_dynamic t c comp;
-    let b = t.barriers.(bid) in
-    record t c "arrived at barrier %d" bid;
-    b.arrived <- (c.id, c.clk.time) :: b.arrived;
-    c.status <- Blocked_barrier bid;
-    release_barrier t bid);
-  c.instr_count <- c.instr_count + 1;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
+  | Ir.Pg_off comps -> exec_pg_off t c ci comps
+  | Ir.Pg_on comps -> exec_pg_on t c ci comps
+  | Ir.Dvfs level -> exec_dvfs t c ci level
+  | Ir.Send (chan_id, v) -> exec_send t c ci chan_id (eval fr v)
+  | Ir.Recv (d, chan_id, ty) -> exec_recv t c fr ci d chan_id ty
+  | Ir.Barrier bid -> exec_barrier t c ci bid
 
 let missing_block_err l fname =
   invalid_arg (Printf.sprintf "Prog.block: no L%d in %s" l fname)
@@ -881,21 +989,26 @@ let step_interp t (c : core) =
       fr.dbid <- fr.block
     end;
     let db = fr.dblk in
-    if fr.idx < Array.length db.Predecode.db_instrs then begin
-      let di = db.Predecode.db_instrs.(fr.idx) in
-      fr.idx <- fr.idx + 1;
+    let instrs = db.Predecode.db_instrs in
+    let i = fr.idx in
+    if i < Array.length instrs then begin
+      let di = instrs.(i) in
+      fr.idx <- i + 1;
       if c.prof_on then
         c.prof_cur <-
           Profile.slot c.prof fr.func.Prog.fname
             di.Predecode.di_instr.Ir.loc.Ir.line;
-      exec_instr t c fr di
+      exec_instr t c fr di;
+      (* the last instruction of a summable run settles it when another
+         instruction follows (a terminator settles by itself) *)
+      if db.Predecode.db_runs.(i) = 1 && i + 1 < Array.length instrs then
+        settle c
     end
     else begin
       if c.prof_on then begin
         (* a terminator attributes to the line of the last instruction
            of its block (0 for empty blocks) — same rule the compiled
            mode bakes in at compile time *)
-        let instrs = db.Predecode.db_instrs in
         let n = Array.length instrs in
         let line =
           if n = 0 then 0
@@ -910,50 +1023,11 @@ let step_interp t (c : core) =
 (* Closure compilation (compiled mode)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled stepper executes [cb_instrs.(idx) frame].  Each
-   closure performs the same state mutations, in the same order, as one
-   [exec_instr] dispatch — with everything that is a pure function of
-   the IR, the machine, or the current operating point resolved ahead of
-   time: operand fetches, memory symbols, call targets, per-component
-   dynamic energies (no [**] per instruction), and cycle→ns factors (no
-   division per instruction). *)
-
-let bump (c : core) =
-  c.instr_count <- c.instr_count + 1;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
-
-let branch_idx = Component.index Component.Branch_unit
-
-let[@inline always] spend1 t (c : core) =
-  c.cycles <- c.cycles + 1;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + 1;
-  advance t c c.clk.ns_per_cycle ~idle:false
-
-let[@inline always] spend_nf t (c : core) n fn =
-  c.cycles <- c.cycles + n;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + n;
-  advance t c (fn *. c.clk.ns_per_cycle) ~idle:false
-
-(* A cycle cost known at decode time compiles to a direct [spend_nf]
-   call with the count pre-floated.  [n = 1] needs no special case:
-   [1.0 *. x] is exactly [x], so the charged duration is bit-identical
-   to [spend1]. *)
-
-(* hand-inlined [Energy_ledger.charge ~category:Dynamic ~component]:
-   category, then component, then total — the same order, bit for bit *)
-let[@inline always] charge_dyn (c : core) ci =
-  let nj = Array.unsafe_get c.dyn_row ci in
-  if nj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 0 (Array.unsafe_get c.lg_cat 0 +. nj);
-  Array.unsafe_set c.lg_comp ci (Array.unsafe_get c.lg_comp ci +. nj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
-  if c.prof_on then begin
-    let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
-  end
+(* The compiled stepper executes [cb_instrs.(idx) frame], or for a whole
+   summable run, one [add_run] plus [cb_vals.(idx) frame] per
+   instruction.  Everything that is a pure function of the IR and the
+   machine is resolved ahead of time: operand fetches, memory symbols,
+   call targets and cycle costs. *)
 
 (** Is it [c]'s turn to execute a {e globally-visible} instruction —
     one that touches state other cores can observe (shared memory, the
@@ -969,95 +1043,24 @@ let[@inline always] visible_turn t (c : core) =
   let o = Array.unsafe_get t.cores oi in
   c.clk.time < o.clk.time || (c.clk.time = o.clk.time && c.id < o.id)
 
-(** One-word shared-memory bus transaction (loads, stores, faa). *)
-let bus_access1 t (c : core) =
-  if t.faults_armed then
-    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
-  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
-  c.bus_txns <- c.bus_txns + 1;
-  c.bus_words <- c.bus_words + 1;
-  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  if c.prof_on then begin
-    let s = c.prof_cur in
-    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
-    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
-    s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
-  end;
-  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish = start +. t.bus_txn1_ns +. t.shared_extra_ns in
-  advance t c (finish -. c.clk.time) ~idle:false;
-  (* hand-inlined [Energy_ledger.charge ~category:Communication] *)
-  let nj = t.bus_word_energy_nj in
-  if nj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. nj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj)
-
-(** Far-tier variant of {!bus_access1}: the off-bus latency is the far
-    tier's, and the tier's per-access energy is charged on top.  Chosen
-    at compile time per symbol, so near-only machines never branch. *)
-let bus_access1_far t (c : core) =
-  if t.faults_armed then
-    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
-  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
-  c.bus_txns <- c.bus_txns + 1;
-  c.bus_words <- c.bus_words + 1;
-  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  if c.prof_on then begin
-    let s = c.prof_cur in
-    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
-    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
-    s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
-  end;
-  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish = start +. t.bus_txn1_ns +. t.far_extra_ns in
-  advance t c (finish -. c.clk.time) ~idle:false;
-  let nj = t.bus_word_energy_nj in
-  if nj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. nj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
-  (* far-tier per-access energy, also Communication *)
-  let fnj = t.far_energy_nj in
-  if fnj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. fnj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. fnj);
-  if c.prof_on then begin
-    let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. fnj)
-  end
-
-(** Implicit wakeup, compiled mode: identical to {!ensure_powered}'s slow
-    path except leakage refresh is deferred to the wake-stall advance. *)
-let wakeup_compiled t (c : core) comp ci =
-  let pm = c.pm in
-  c.powered.(ci) <- true;
-  c.leak_dirty <- true;
-  c.implicit_wakeups <- c.implicit_wakeups + 1;
-  record_thunk t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
-  c.gate_transitions <- c.gate_transitions + 1;
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-    pm.Power_model.gate_energy_nj;
-  if c.prof_on then begin
-    let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 3
-      (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-  end;
-  spend_nf t c pm.Power_model.wake_latency_cycles
-    (float_of_int pm.Power_model.wake_latency_cycles)
+(** Not this core's turn: replay the instruction when re-picked.  The
+    attempt is not a step, or step counts would diverge from the
+    per-step reference. *)
+let yield_turn t (fr : frame) =
+  fr.idx <- fr.idx - 1;
+  t.steps <- t.steps - 1;
+  t.sched_event <- true
 
 (* Register indices come out of the function's [reg_gen], and frames
    size [regs] from the same generator's high-water mark, so every
    compiled register access is in bounds by construction — the
    compiled closures use unchecked accesses. *)
+let[@inline always] reg (fr : frame) r = Array.unsafe_get fr.regs r
+let[@inline always] set (fr : frame) r v = Array.unsafe_set fr.regs r v
 
 let compile_operand (o : Ir.operand) : frame -> Value.t =
   match o with
-  | Ir.Reg r -> fun fr -> Array.unsafe_get fr.regs r
+  | Ir.Reg r -> fun fr -> reg fr r
   | Ir.Imm cst ->
     let v = Value.of_const cst in
     fun _ -> v
@@ -1068,7 +1071,7 @@ let compile_operand (o : Ir.operand) : frame -> Value.t =
     [Value.t]-returning closure first. *)
 let compile_int_operand (o : Ir.operand) : frame -> int =
   match o with
-  | Ir.Reg r -> fun fr -> Value.to_int (Array.unsafe_get fr.regs r)
+  | Ir.Reg r -> fun fr -> Value.to_int (reg fr r)
   | Ir.Imm cst ->
     let n = Value.to_int (Value.of_const cst) in
     fun _ -> n
@@ -1088,486 +1091,152 @@ let compile_sym t (df : Predecode.dfunc) (s : Ir.sym) : frame -> Value.t array =
     | Some k -> fun fr -> fr.farrs.(k)
     | None -> fun _ -> runtime_err "unknown frame array %s" s.Ir.sym_name)
 
+(** Compile one instruction.  A summable instruction compiles to its
+    value semantics only (its cost is pended by the caller, see
+    {!compile_cfun}); every other instruction compiles to a complete
+    closure that pays its own cost. *)
 let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
     frame -> unit =
-  let comp = di.Predecode.di_comp in
   let ci = di.Predecode.di_comp_idx in
   let lat = di.Predecode.di_latency in
-  let latf = float_of_int lat in
   match di.Predecode.di_instr.Ir.idesc with
   | Ir.Const (d, cst) ->
     let v = Value.of_const cst in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d v;
-      bump c
+    fun fr -> set fr d v
   | Ir.Move (d, a) ->
     let geta = compile_operand a in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (geta fr);
-      bump c
-  | Ir.Binop (op, d, Ir.Reg ra, Ir.Reg rb) ->
-    (* opcode dispatch hoisted to compile time ([Value.binop_fn]) and
-       the register-register operand shape read directly — the common
-       case costs one indirect call, not three plus an opcode match *)
-    (* frequent opcodes fuse the arithmetic into the closure as a
-       direct (inlined) call; the rest go through the [binop_fn]
-       closure, which costs a generic 2-ary application *)
-    (match op with
-    | Ir.Add ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_add (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Sub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_sub (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Mul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_mul (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Lt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_lt (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Le ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_le (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Gt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_gt (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Ge ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_ge (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Eq ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_eq (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Ne ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_ne (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Fadd ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fadd (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Fsub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fsub (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
-    | Ir.Fmul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fmul (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+    fun fr -> set fr d (geta fr)
+  | Ir.Binop (op, d, Ir.Reg ra, Ir.Reg rb) -> (
+    (* the register-register shape reads the registers directly, and
+       frequent opcodes call their arithmetic directly; the rest go
+       through the [binop_fn] closure, a generic 2-ary application *)
+    match op with
+    | Ir.Add -> fun fr -> set fr d (Value.v_add (reg fr ra) (reg fr rb))
+    | Ir.Sub -> fun fr -> set fr d (Value.v_sub (reg fr ra) (reg fr rb))
+    | Ir.Mul -> fun fr -> set fr d (Value.v_mul (reg fr ra) (reg fr rb))
+    | Ir.Lt -> fun fr -> set fr d (Value.v_lt (reg fr ra) (reg fr rb))
+    | Ir.Le -> fun fr -> set fr d (Value.v_le (reg fr ra) (reg fr rb))
+    | Ir.Gt -> fun fr -> set fr d (Value.v_gt (reg fr ra) (reg fr rb))
+    | Ir.Ge -> fun fr -> set fr d (Value.v_ge (reg fr ra) (reg fr rb))
+    | Ir.Eq -> fun fr -> set fr d (Value.v_eq (reg fr ra) (reg fr rb))
+    | Ir.Ne -> fun fr -> set fr d (Value.v_ne (reg fr ra) (reg fr rb))
+    | Ir.Fadd -> fun fr -> set fr d (Value.v_fadd (reg fr ra) (reg fr rb))
+    | Ir.Fsub -> fun fr -> set fr d (Value.v_fsub (reg fr ra) (reg fr rb))
+    | Ir.Fmul -> fun fr -> set fr d (Value.v_fmul (reg fr ra) (reg fr rb))
     | _ ->
       let f = Value.binop_fn op in
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (f (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c)
-  | Ir.Binop (op, d, Ir.Reg ra, Ir.Imm cb) ->
+      fun fr -> set fr d (f (reg fr ra) (reg fr rb)))
+  | Ir.Binop (op, d, Ir.Reg ra, Ir.Imm cb) -> (
     let vb = Value.of_const cb in
-    (match op with
-    | Ir.Add ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_add (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Sub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_sub (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Mul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_mul (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Lt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_lt (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Le ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_le (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Gt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_gt (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Ge ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_ge (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Eq ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_eq (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Ne ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_ne (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Fadd ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fadd (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Fsub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fsub (Array.unsafe_get fr.regs ra) vb);
-        bump c
-    | Ir.Fmul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fmul (Array.unsafe_get fr.regs ra) vb);
-        bump c
+    match op with
+    | Ir.Add -> fun fr -> set fr d (Value.v_add (reg fr ra) vb)
+    | Ir.Sub -> fun fr -> set fr d (Value.v_sub (reg fr ra) vb)
+    | Ir.Mul -> fun fr -> set fr d (Value.v_mul (reg fr ra) vb)
+    | Ir.Lt -> fun fr -> set fr d (Value.v_lt (reg fr ra) vb)
+    | Ir.Le -> fun fr -> set fr d (Value.v_le (reg fr ra) vb)
+    | Ir.Gt -> fun fr -> set fr d (Value.v_gt (reg fr ra) vb)
+    | Ir.Ge -> fun fr -> set fr d (Value.v_ge (reg fr ra) vb)
+    | Ir.Eq -> fun fr -> set fr d (Value.v_eq (reg fr ra) vb)
+    | Ir.Ne -> fun fr -> set fr d (Value.v_ne (reg fr ra) vb)
+    | Ir.Fadd -> fun fr -> set fr d (Value.v_fadd (reg fr ra) vb)
+    | Ir.Fsub -> fun fr -> set fr d (Value.v_fsub (reg fr ra) vb)
+    | Ir.Fmul -> fun fr -> set fr d (Value.v_fmul (reg fr ra) vb)
     | _ ->
       let f = Value.binop_fn op in
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (f (Array.unsafe_get fr.regs ra) vb);
-        bump c)
+      fun fr -> set fr d (f (reg fr ra) vb))
   | Ir.Binop (op, d, a, b) ->
     let f = Value.binop_fn op in
     let geta = compile_operand a and getb = compile_operand b in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (geta fr) (getb fr));
-      bump c
+    fun fr -> set fr d (f (geta fr) (getb fr))
   | Ir.Unop (op, d, Ir.Reg ra) ->
-    (* register shape specialised: reads the register directly instead
-       of through a [compile_operand] closure *)
     let f = Value.unop_fn op in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (Array.unsafe_get fr.regs ra));
-      bump c
+    fun fr -> set fr d (f (reg fr ra))
   | Ir.Unop (op, d, a) ->
     let f = Value.unop_fn op in
     let geta = compile_operand a in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (geta fr));
-      bump c
+    fun fr -> set fr d (f (geta fr))
   | Ir.Mac (d, Ir.Reg ra, Ir.Reg rb, Ir.Reg rc) ->
-    (* the kernel-loop shape (all three operands in registers): three
-       direct register reads instead of three operand closures *)
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      let regs = fr.regs in
-      Array.unsafe_set regs d
-        (Value.mac
-           (Array.unsafe_get regs ra)
-           (Array.unsafe_get regs rb)
-           (Array.unsafe_get regs rc));
-      bump c
+    (* the kernel-loop shape: three direct register reads *)
+    fun fr -> set fr d (Value.mac (reg fr ra) (reg fr rb) (reg fr rc))
   | Ir.Mac (d, a, b, cc) ->
     let geta = compile_operand a
     and getb = compile_operand b
     and getc = compile_operand cc in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (Value.mac (geta fr) (getb fr) (getc fr));
-      bump c
+    fun fr -> set fr d (Value.mac (geta fr) (getb fr) (getc fr))
   | Ir.Load (d, s, idxo) -> (
     let geti = compile_int_operand idxo in
     let geta = compile_sym t df s in
     let sstr = Ir.sym_to_string s in
+    let read fr =
+      let idx = geti fr in
+      let a = geta fr in
+      if idx < 0 || idx >= Array.length a then
+        runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
+          (Array.length a) fr.func.Prog.fname;
+      set fr d (Array.unsafe_get a idx)
+    in
     match s.Ir.sym_space with
-    | Ir.Shared when Hashtbl.mem t.far_syms s.Ir.sym_name ->
-      (* far-tier symbol: same closure with the far bus transaction *)
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1_far t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
-        end
     | Ir.Shared ->
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          (* not this core's turn: replay when re-picked; the attempt
-             is not a step, or step counts would diverge from the
-             per-step reference *)
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
+      let far = is_far t s in
+      fun fr ->
+        let c = fr.fcore in
+        if not (visible_turn t c) then yield_turn t fr
         else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1 t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
+          shared_op t c ci lat ~far;
+          read fr
         end
-    | Ir.Rom | Ir.Frame ->
-      let spm_lat = 1 + Machine.spm_latency_cycles t.machine in
-      let spm_latf = float_of_int spm_lat in
-      if t.cache_miss_period > 0 then
-        (* cache local store: count the access and take periodic misses *)
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend_nf t c spm_lat spm_latf;
-          local_miss t c;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
-      else
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend_nf t c spm_lat spm_latf;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c)
+    | Ir.Rom | Ir.Frame -> read)
   | Ir.Store (s, idxo, vo) -> (
     let geti = compile_int_operand idxo in
     let getv = compile_operand vo in
     let geta = compile_sym t df s in
     let sstr = Ir.sym_to_string s in
+    let write fr =
+      let idx = geti fr in
+      let v = getv fr in
+      let a = geta fr in
+      if idx < 0 || idx >= Array.length a then
+        runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
+          (Array.length a) fr.func.Prog.fname;
+      Array.unsafe_set a idx v
+    in
     match s.Ir.sym_space with
-    | Ir.Shared when Hashtbl.mem t.far_syms s.Ir.sym_name ->
-      (* far-tier symbol: same closure with the far bus transaction *)
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1_far t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
-        end
     | Ir.Shared ->
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          (* not this core's turn: replay when re-picked; the attempt
-             is not a step, or step counts would diverge from the
-             per-step reference *)
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
+      let far = is_far t s in
+      fun fr ->
+        let c = fr.fcore in
+        if not (visible_turn t c) then yield_turn t fr
         else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1 t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
+          shared_op t c ci lat ~far;
+          write fr
         end
-    | Ir.Rom | Ir.Frame ->
-      let spm_lat = 1 + Machine.spm_latency_cycles t.machine in
-      let spm_latf = float_of_int spm_lat in
-      if t.cache_miss_period > 0 then
-        (* cache local store: count the access and take periodic misses *)
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend_nf t c spm_lat spm_latf;
-          local_miss t c;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
-      else
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend_nf t c spm_lat spm_latf;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c)
+    | Ir.Rom | Ir.Frame -> write)
   | Ir.Faa (d, s, amt) ->
     let getv = compile_operand amt in
     let geta = compile_sym t df s in
     let sstr = Ir.sym_to_string s in
-    let far = Hashtbl.mem t.far_syms s.Ir.sym_name in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
+    let far = is_far t s in
+    fun fr ->
+      let c = fr.fcore in
+      if not (visible_turn t c) then yield_turn t fr
       else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
         let amount = Value.to_int (getv fr) in
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        if far then bus_access1_far t c else bus_access1 t c;
+        shared_op t c ci lat ~far;
         let a = geta fr in
         if Array.length a = 0 then
           runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr 0 0
             fr.func.Prog.fname;
         let old = Value.to_int a.(0) in
         a.(0) <- Value.Vint (Value.wrap32 (old + amount));
-        Array.unsafe_set fr.regs d (Value.Vint old);
-        bump c
+        set fr d (Value.Vint old)
       end
   | Ir.Call (dst, callee, args) -> (
     match Hashtbl.find_opt t.fsyms callee with
     | None ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
+      fun fr ->
+        let c = fr.fcore in
+        pend t c ci lat;
+        settle c;
         runtime_err "call to unknown function %s" callee
     | Some target_cf ->
       let params = target_cf.cf_fe.fe_params in
@@ -1575,10 +1244,10 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
       let nargs = List.length args in
       let getvs = Array.of_list (List.map compile_operand args) in
       let nbind = min nargs nparams in
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
+      fun fr ->
+        let c = fr.fcore in
+        pend t c ci lat;
+        settle c;
         let new_fr = make_frame c target_cf in
         for k = 0 to nbind - 1 do
           new_fr.regs.(params.(k)) <- getvs.(k) fr
@@ -1586,198 +1255,32 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         if nargs > nparams then runtime_err "too many arguments to %s" callee;
         if nbind <> nparams then runtime_err "arity mismatch calling %s" callee;
         fr.pending_dst <- dst;
-        c.stack <- new_fr :: c.stack;
-        t.frames_dirty <- true;
-        bump c)
-  | Ir.Pg_off comps ->
-    let setstr = Component.Set.to_string comps in
-    let idxs =
-      Array.of_list (List.map Component.index (Component.Set.elements comps))
-    in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      (* gate energy from the executing core's class: the closure is
-         shared across cores of different classes *)
-      let ge = c.pm.Power_model.gate_energy_nj in
-      spend1 t c;
-      record_thunk t c (fun () -> "pg_off " ^ setstr);
-      let any = ref false in
-      Array.iter
-        (fun k ->
-          if c.powered.(k) then begin
-            c.powered.(k) <- false;
-            any := true;
-            c.gate_transitions <- c.gate_transitions + 1;
-            Energy_ledger.charge c.ledger
-              ~category:Energy_ledger.Gating_overhead ge;
-            if c.prof_on then begin
-              let sc = c.prof_cur.Profile.sl_cat in
-              Array.unsafe_set sc 3 (Array.unsafe_get sc 3 +. ge)
-            end
-          end)
-        idxs;
-      if !any then c.leak_dirty <- true;
-      bump c
-  | Ir.Pg_on comps ->
-    let setstr = Component.Set.to_string comps in
-    let idxs =
-      Array.of_list (List.map Component.index (Component.Set.elements comps))
-    in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      let ge = c.pm.Power_model.gate_energy_nj in
-      record_thunk t c (fun () -> "pg_on " ^ setstr);
-      let any = ref false in
-      Array.iter
-        (fun k ->
-          if not c.powered.(k) then begin
-            c.powered.(k) <- true;
-            any := true;
-            c.gate_transitions <- c.gate_transitions + 1;
-            Energy_ledger.charge c.ledger
-              ~category:Energy_ledger.Gating_overhead ge;
-            if c.prof_on then begin
-              let sc = c.prof_cur.Profile.sl_cat in
-              Array.unsafe_set sc 3 (Array.unsafe_get sc 3 +. ge)
-            end
-          end)
-        idxs;
-      if !any then begin
-        c.leak_dirty <- true;
-        (* components wake in parallel: one wake latency (this class's) *)
-        let wake_lat = 1 + c.pm.Power_model.wake_latency_cycles in
-        spend_nf t c wake_lat (float_of_int wake_lat)
-      end
-      else spend1 t c;
-      bump c
-  | Ir.Dvfs level ->
-    (* the ladder belongs to the executing core's class, and the closure
-       is shared across cores — resolve the level per execution; an
-       absent level raises [Power_model.point]'s error exactly where the
-       interpreter raises it.  Dvfs instructions are region boundaries,
-       not loop bodies, so the lookup is off the hot path. *)
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      let pm = c.pm in
-      let target = Power_model.point pm level in
-      if target.Operating_point.level <> c.point.Operating_point.level
-      then begin
-        let dvfs_lat = pm.Power_model.dvfs_latency_cycles in
-        spend_nf t c dvfs_lat (float_of_int dvfs_lat);
-        let de = pm.Power_model.dvfs_energy_nj in
-        Energy_ledger.charge c.ledger ~category:Energy_ledger.Dvfs_overhead de;
-        if c.prof_on then begin
-          let sc = c.prof_cur.Profile.sl_cat in
-          Array.unsafe_set sc 4 (Array.unsafe_get sc 4 +. de)
-        end;
-        c.point <- target;
-        refresh_point_caches t c;
-        c.leak_dirty <- true;
-        c.dvfs_transitions <- c.dvfs_transitions + 1;
-        record_thunk t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
-      end
-      else spend1 t c;
-      bump c
+        c.stack <- new_fr :: c.stack)
+  | Ir.Pg_off comps -> fun fr -> exec_pg_off t fr.fcore ci comps
+  | Ir.Pg_on comps -> fun fr -> exec_pg_on t fr.fcore ci comps
+  | Ir.Dvfs level -> fun fr -> exec_dvfs t fr.fcore ci level
   | Ir.Send (chan_id, vo) ->
     let getv = compile_operand vo in
-    let setup_lat = t.machine.Machine.channel_setup_cycles in
-    let setup_latf = float_of_int setup_lat in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c setup_lat setup_latf;
-        charge_dyn c ci;
-        let v = getv fr in
-        let ch = t.chans.(chan_id) in
-        if Queue.length ch.queue >= ch.cap then begin
-          c.send_blocks <- c.send_blocks + 1;
-          record_thunk t c (fun () ->
-              Printf.sprintf "blocked sending on ch%d" chan_id);
-          Queue.push c.id ch.waiting_senders;
-          c.status <- Blocked_send (chan_id, v);
-          t.unblock_dirty <- true
-        end
-        else complete_send t c chan_id v;
-        bump c
-      end
+    fun fr ->
+      let c = fr.fcore in
+      if not (visible_turn t c) then yield_turn t fr
+      else exec_send t c ci chan_id (getv fr)
   | Ir.Recv (d, chan_id, ty) ->
-    let setup_lat = t.machine.Machine.channel_setup_cycles in
-    let setup_latf = float_of_int setup_lat in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c setup_lat setup_latf;
-        charge_dyn c ci;
-        let ch = t.chans.(chan_id) in
-        if Queue.is_empty ch.queue then begin
-          c.recv_blocks <- c.recv_blocks + 1;
-          record_thunk t c (fun () ->
-              Printf.sprintf "blocked receiving on ch%d" chan_id);
-          c.status <- Blocked_recv (chan_id, d, ty);
-          t.unblock_dirty <- true
-        end
-        else begin
-          let (v, ready) = Queue.pop ch.queue in
-          (* a slot freed: a blocked sender may now complete *)
-          t.sched_event <- true;
-          t.unblock_dirty <- true;
-          resume_at t c ready;
-          ch.last_pop <- fmax ch.last_pop c.clk.time;
-          (match (ty, v) with
-          | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-          | _ -> runtime_err "channel %d type mismatch" chan_id);
-          Array.unsafe_set fr.regs d v
-        end;
-        bump c
-      end
+    fun fr ->
+      let c = fr.fcore in
+      if not (visible_turn t c) then yield_turn t fr
+      else exec_recv t c fr ci d chan_id ty
   | Ir.Barrier bid ->
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend1 t c;
-        charge_dyn c ci;
-        let b = t.barriers.(bid) in
-        record_thunk t c (fun () ->
-            Printf.sprintf "arrived at barrier %d" bid);
-        b.arrived <- (c.id, c.clk.time) :: b.arrived;
-        c.status <- Blocked_barrier bid;
-        release_barrier t bid;
-        bump c
-      end
+    fun fr ->
+      let c = fr.fcore in
+      if not (visible_turn t c) then yield_turn t fr
+      else exec_barrier t c ci bid
 
 (** A block that raises the [Prog.block] error when entered — holes in
     the label space behave exactly like the undecoded interpreter. *)
 let poison_block l fname =
-  {
-    cb_instrs = [||];
-    cb_n = 0;
-    cb_pure = [||];
-    cb_term = (fun _ -> missing_block_err l fname);
-  }
+  let enter _ = missing_block_err l fname in
+  { dummy_cblock with cb_term = enter; cb_goto = enter }
 
 (** Compile a branch target.  Captures the (stable) per-function block
     array, so filling order does not matter. *)
@@ -1797,72 +1300,76 @@ let compile_goto (cf : cfun) l : frame -> unit =
       fr.cblk <- pb
   end
 
-let compile_term t (cf : cfun) (term : Ir.term) : frame -> unit =
-  match term with
-  | Ir.Jmp l ->
-    let go = compile_goto cf l in
-    fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
-      go fr
-  | Ir.Br (cond, l1, l2) ->
-    let getc = compile_operand cond in
-    let go1 = compile_goto cf l1 and go2 = compile_goto cf l2 in
-    fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
-      if Value.is_true (getc fr) then go1 fr else go2 fr
-  | Ir.Ret v_opt ->
-    let getv = Option.map compile_operand v_opt in
-    fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
-      let v = match getv with Some g -> Some (g fr) | None -> None in
-      (match c.stack with
-      | [] -> runtime_err "return with empty stack"
-      | _ :: [] ->
-        record_thunk t c (fun () ->
-            "halt"
-            ^
-            match v with
-            | Some value -> " -> " ^ Value.to_string value
-            | None -> "");
-        c.status <- Halted v;
-        t.live_cores <- t.live_cores - 1
-      | _ :: (caller :: _ as rest) ->
-        c.stack <- rest;
-        (match (caller.pending_dst, v) with
-        | (Some d, Some value) -> caller.regs.(d) <- value
-        | (Some _, None) -> runtime_err "void return into a register"
-        | (None, _) -> ());
-        caller.pending_dst <- None)
+(** Compile a terminator into its action alone and into the complete
+    step (its cost, then the action). *)
+let compile_term t (cf : cfun) (term : Ir.term) :
+    (frame -> unit) * (frame -> unit) =
+  let act : frame -> unit =
+    match term with
+    | Ir.Jmp l -> compile_goto cf l
+    | Ir.Br (cond, l1, l2) ->
+      let getc = compile_operand cond in
+      let go1 = compile_goto cf l1 and go2 = compile_goto cf l2 in
+      fun fr -> if Value.is_true (getc fr) then go1 fr else go2 fr
+    | Ir.Ret v_opt ->
+      let getv = Option.map compile_operand v_opt in
+      fun fr ->
+        exec_ret t fr.fcore
+          (match getv with Some g -> Some (g fr) | None -> None)
+  in
+  ( (fun fr ->
+      pend_term fr.fcore;
+      act fr),
+    act )
 
-(** Is [di]'s compiled closure {e pure} for the batch loop — unable to
-    change the core's status, raise [t.sched_event], or push a frame?
-    Register/frame/ROM work, power gating and DVFS are core-local;
-    anything touching shared memory, the bus, channels, barriers or the
-    call stack is not.  (Pure closures may still abort the simulation
-    with a runtime error; that path never reports an outcome, so the
-    batched step accounting is unobservable there.) *)
-let pure_instr (di : Predecode.dinstr) =
-  match di.Predecode.di_instr.Ir.idesc with
-  | Ir.Const _ | Ir.Move _ | Ir.Binop _ | Ir.Unop _ | Ir.Mac _
-  | Ir.Pg_off _ | Ir.Pg_on _ | Ir.Dvfs _ -> true
-  | Ir.Load (_, s, _) -> (
-    match s.Ir.sym_space with Ir.Rom | Ir.Frame -> true | Ir.Shared -> false)
-  | Ir.Store (s, _, _) -> (
-    match s.Ir.sym_space with Ir.Rom | Ir.Frame -> true | Ir.Shared -> false)
-  | Ir.Call _ | Ir.Send _ | Ir.Recv _ | Ir.Barrier _ | Ir.Faa _ -> false
+let no_cost =
+  { rc_cycles = 0; rc_need = 0; rc_comps = [||]; rc_ops = [||]; rc_local = 0;
+    rc_to_end = false }
 
-let pure_runs (db : Predecode.dblock) =
-  let instrs = db.Predecode.db_instrs in
+(* what {!pend_term} pends *)
+let term_cost =
+  { no_cost with rc_cycles = 1; rc_comps = [| branch_idx |]; rc_ops = [| 1 |];
+    rc_to_end = true }
+
+(** The cost of every summable run suffix of [db], built back to front:
+    each position adds its own instruction's cost to the suffix after
+    it, and the last instruction of the block starts from the
+    terminator's cost. *)
+let run_costs t (db : Predecode.dblock) =
+  let instrs = db.Predecode.db_instrs and runs = db.Predecode.db_runs in
   let n = Array.length instrs in
-  let runs = Array.make n 0 in
+  let costs = Array.make n no_cost in
   for i = n - 1 downto 0 do
-    if pure_instr instrs.(i) then
-      runs.(i) <- (1 + if i + 1 < n then runs.(i + 1) else 0)
+    if runs.(i) > 0 then begin
+      let di = instrs.(i) in
+      let (lat, local) = summable_cost t di in
+      let ci = di.Predecode.di_comp_idx in
+      let next =
+        if runs.(i) > 1 then costs.(i + 1)
+        else if i = n - 1 then term_cost
+        else no_cost
+      in
+      let (rc_comps, rc_ops) =
+        let comps = next.rc_comps in
+        match Array.find_index (fun k -> k = ci) comps with
+        | Some j ->
+          let ops = Array.copy next.rc_ops in
+          ops.(j) <- ops.(j) + 1;
+          (comps, ops)
+        | None -> (Array.append comps [| ci |], Array.append next.rc_ops [| 1 |])
+      in
+      costs.(i) <-
+        {
+          rc_cycles = next.rc_cycles + lat;
+          rc_need = next.rc_need lor (1 lsl ci);
+          rc_comps;
+          rc_ops;
+          rc_local = (next.rc_local + if local then 1 else 0);
+          rc_to_end = next.rc_to_end;
+        }
+    end
   done;
-  runs
+  costs
 
 (** Fill [cf]'s block array with compiled blocks.  [cf_blocks] must
     already be allocated (phase 1) so targets across functions resolve. *)
@@ -1894,39 +1401,49 @@ let compile_cfun t (cf : cfun) =
       match dbo with
       | None -> ()  (* stays poison *)
       | Some (db : Predecode.dblock) ->
+        let instrs = db.Predecode.db_instrs in
+        let runs = db.Predecode.db_runs in
+        let n = Array.length instrs in
+        let cb_vals = Array.map (compile_instr t df) instrs in
+        (* per-instruction closures: a summable instruction pends its
+           own cost and settles when it ends its run — exactly the
+           interpretive stepper's sequence *)
         let cb_instrs =
-          Array.map
-            (fun (di : Predecode.dinstr) ->
-              wrap di.Predecode.di_instr.Ir.loc.Ir.line (compile_instr t df di))
-            db.Predecode.db_instrs
+          Array.mapi
+            (fun i (di : Predecode.dinstr) ->
+              let value = cb_vals.(i) in
+              let g =
+                if runs.(i) = 0 then value
+                else begin
+                  let (lat, local) = summable_cost t di in
+                  let ci = di.Predecode.di_comp_idx in
+                  let settle_after = runs.(i) = 1 && i + 1 < n in
+                  fun fr ->
+                    let c = fr.fcore in
+                    pend t c ci lat;
+                    if local then local_access t c;
+                    value fr;
+                    if settle_after then settle c
+                end
+              in
+              wrap di.Predecode.di_instr.Ir.loc.Ir.line g)
+            instrs
         in
         let term_line =
-          let instrs = db.Predecode.db_instrs in
-          let n = Array.length instrs in
-          if n = 0 then 0
-          else instrs.(n - 1).Predecode.di_instr.Ir.loc.Ir.line
+          if n = 0 then 0 else instrs.(n - 1).Predecode.di_instr.Ir.loc.Ir.line
         in
+        let (term, goto) = compile_term t cf db.Predecode.db_term in
         cf.cf_blocks.(l) <-
           {
             cb_instrs;
-            cb_n = Array.length cb_instrs;
-            cb_pure = pure_runs db;
-            cb_term = wrap term_line (compile_term t cf db.Predecode.db_term);
+            cb_vals;
+            cb_n = n;
+            cb_runs = runs;
+            cb_cost = run_costs t db;
+            cb_term = wrap term_line term;
+            cb_goto = goto;
           })
     df.Predecode.df_blocks
-
-(** Execute one step (instruction or terminator) — compiled mode. *)
-let step_compiled (c : core) =
-  match c.stack with
-  | [] -> runtime_err "core %d has empty stack" c.id
-  | fr :: _ ->
-    let cb = fr.cblk in
-    if fr.idx < cb.cb_n then begin
-      let f = cb.cb_instrs.(fr.idx) in
-      fr.idx <- fr.idx + 1;
-      f fr
-    end
-    else cb.cb_term fr
 
 (* ------------------------------------------------------------------ *)
 (* Construction (continued): ties decode + compilation together        *)
@@ -1975,16 +1492,19 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
                  bus_wait_ns = 0.0;
                  leak_mw = 0.0;
                  ns_per_cycle = 0.0;
+                 active_ns = 0.0;
+                 idle_ns = 0.0;
                };
              (* each core starts at its own class's nominal point *)
              point = Power_model.nominal cc.Machine.cc_power;
-             powered = Array.make Component.count true;
+             powered = (1 lsl Component.count) - 1;
              ledger;
-             lg_cat = Energy_ledger.raw_by_category ledger;
-             lg_comp = Energy_ledger.raw_by_component ledger;
-             lg_tot = Energy_ledger.raw_total ledger;
-             leak_dirty = false;
              dyn_row = Array.make Component.count 0.0;
+             p_cycles = 0;
+             e_ops = Array.make Component.count 0;
+             e_misses = 0;
+             e_words = 0;
+             e_far = 0;
              instr_count = 0;
              implicit_wakeups = 0;
              gate_transitions = 0;
@@ -2051,7 +1571,6 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
       machine;
       opts;
       fsyms;
-      dfuncs;
       decoded_blocks;
       cores;
       shared;
@@ -2067,7 +1586,6 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
       leak_recomputes = 0;
       sched_event = false;
       batch_other = -1;
-      frames_dirty = false;
       live_cores = Array.length cores;
       unblock_dirty = true;
       faults_armed = Lp_util.Fault.active ();
@@ -2134,7 +1652,7 @@ let unblock_pass t : bool =
         let ch = t.chans.(chan_id) in
         if not (Queue.is_empty ch.queue) then begin
           let (v, ready) = Queue.pop ch.queue in
-          resume_at t c ready;
+          resume_at c ready;
           ch.last_pop <- fmax ch.last_pop c.clk.time;
           (match (ty, v) with
           | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
@@ -2150,7 +1668,7 @@ let unblock_pass t : bool =
             let s = t.cores.(sid) in
             match s.status with
             | Blocked_send (cid, sv) when cid = chan_id ->
-              resume_at t s ch.last_pop;
+              resume_at s ch.last_pop;
               complete_send t s chan_id sv;
               s.status <- Ready
             | _ -> runtime_err "inconsistent sender queue on channel %d" chan_id
@@ -2163,7 +1681,7 @@ let unblock_pass t : bool =
            && (not (Queue.is_empty ch.waiting_senders))
            && Queue.peek ch.waiting_senders = c.id then begin
           ignore (Queue.pop ch.waiting_senders);
-          resume_at t c ch.last_pop;
+          resume_at c ch.last_pop;
           complete_send t c chan_id v;
           c.status <- Ready;
           progress := true
@@ -2203,23 +1721,26 @@ let describe_blocked t =
       under the pick rule (smallest time, ties to the lowest core id).
 
     Other ready cores' clocks only move when they are stepped, so the
-    runner-up bound ([other_time], [other_id]) captured at pick time
-    stays valid for the whole batch.  The interleaving is therefore
-    exactly the one the per-step scheduler would produce; skipped
-    [unblock_pass] calls are provably no-ops because every state change
-    they react to raises [t.sched_event].  [t.steps] is maintained
-    per-instruction so [Step_limit_exceeded] fires after exactly the
-    same step as the one-at-a-time loop. *)
-let[@inline always] batch_step t (c : core) lim =
+    runner-up bound captured at pick time stays valid for the whole
+    batch.  The interleaving is therefore exactly the one the per-step
+    scheduler would produce; skipped [unblock_pass] calls are provably
+    no-ops because every state change they react to raises
+    [t.sched_event].  [t.steps] advances by a whole summable run only
+    when the run fits under the step limit, and one step at a time
+    otherwise, so [Step_limit_exceeded] fires after exactly the same
+    step as the one-at-a-time loop. *)
+
+(** One compiled step (instruction or terminator) of [c], counted
+    against the step limit first. *)
+let checked_step t (c : core) =
   t.steps <- t.steps + 1;
-  if t.steps > lim then raise Step_limit_exceeded;
+  if t.steps > t.opts.max_steps then raise Step_limit_exceeded;
   match c.stack with
   | [] -> runtime_err "core %d has empty stack" c.id
   | fr :: _ ->
     let cb = fr.cblk in
     if fr.idx < cb.cb_n then begin
-      (* safe: [cb_n = Array.length cb_instrs] by construction *)
-      let f = Array.unsafe_get cb.cb_instrs fr.idx in
+      let f = cb.cb_instrs.(fr.idx) in
       fr.idx <- fr.idx + 1;
       f fr
     end
@@ -2247,66 +1768,66 @@ let run_sched_batch t (c : core) ~other_i =
         false)
       && not t.sched_event
     do
-      (* a single-core (or far-ahead) batch can run the whole program
-         without yielding to the scheduler, so the cooperative deadline
-         must also be checked here — once per straight-line segment *)
-      Lp_util.Deadline.check t.opts.deadline;
       match c.stack with
       | [] -> runtime_err "core %d has empty stack" c.id
       | fr :: _ ->
-        (* Straight-line segment: the frame and block stay current
-           until a terminator runs (re-fetched unconditionally after)
-           or a [Call] pushes a frame ([frames_dirty]), so the head of
-           the stack and the block arrays load once per segment, not
-           once per instruction. *)
+        (* One segment per iteration: a summable run, or one checked
+           step.  A summable run can neither change any of the loop
+           conditions above nor hit the step limit (checked up front),
+           so it executes with no per-instruction checks. *)
         let cb = fr.cblk in
-        let instrs = cb.cb_instrs in
-        let pure = cb.cb_pure in
-        let n = cb.cb_n in
-        t.frames_dirty <- false;
-        while
-          fr.idx < n
-          && (not t.frames_dirty)
-          && (match c.status with
-             | Ready -> true
-             | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-             | Halted _ -> false)
-          && not t.sched_event
-        do
-          (* a run of pure instructions can neither invalidate any of
-             the loop conditions above nor hit the step limit (checked
-             up front), so it executes with no per-instruction checks *)
-          let run = Array.unsafe_get pure fr.idx in
-          if run > 0 && t.steps + run <= lim then begin
+        let i = fr.idx in
+        (* a single-core (or far-ahead) batch can run the whole program
+           without yielding to the scheduler, so the cooperative
+           deadline must also be checked here — once per block entered *)
+        if i = 0 then Lp_util.Deadline.check t.opts.deadline;
+        let run = if i < cb.cb_n then Array.unsafe_get cb.cb_runs i else 0 in
+        if run > 0 && t.steps + run < lim then begin
+          let stop = i + run in
+          let rc = Array.unsafe_get cb.cb_cost i in
+          if c.powered land rc.rc_need = rc.rc_need && not c.prof_on then begin
+            (* every component the run needs is powered, so no implicit
+               wakeup can occur: its whole cost, the terminator's too
+               when it reaches the end of the block, is one precomputed
+               summary, and each instruction runs its value semantics
+               only *)
+            add_run t c rc run;
+            let vals = cb.cb_vals in
+            for k = i to stop - 1 do
+              (* safe: [stop <= cb_n = Array.length cb_vals] *)
+              (Array.unsafe_get vals k) fr
+            done;
+            settle c;
+            if rc.rc_to_end then begin
+              t.steps <- t.steps + run + 1;
+              cb.cb_goto fr
+            end
+            else begin
+              t.steps <- t.steps + run;
+              fr.idx <- stop
+            end
+          end
+          else begin
+            (* a gated component or a profile: each instruction pends
+               its own cost *)
             t.steps <- t.steps + run;
-            let stop = fr.idx + run in
+            let instrs = cb.cb_instrs in
             while fr.idx < stop do
-              (* safe: [cb_n = Array.length cb_instrs] by construction *)
               let f = Array.unsafe_get instrs fr.idx in
               fr.idx <- fr.idx + 1;
               f fr
             done
           end
-          else begin
-            t.steps <- t.steps + 1;
-            if t.steps > lim then raise Step_limit_exceeded;
-            let f = Array.unsafe_get instrs fr.idx in
-            fr.idx <- fr.idx + 1;
-            f fr
-          end
-        done;
-        if
-          fr.idx >= n
-          && (not t.frames_dirty)
-          && (match c.status with
-             | Ready -> true
-             | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-             | Halted _ -> false)
-          && not t.sched_event
-        then begin
+        end
+        else begin
           t.steps <- t.steps + 1;
           if t.steps > lim then raise Step_limit_exceeded;
-          cb.cb_term fr
+          if i < cb.cb_n then begin
+            fr.idx <- i + 1;
+            (* safe: [cb_n = Array.length cb_instrs] by construction *)
+            (Array.unsafe_get cb.cb_instrs i) fr
+          end
+          else cb.cb_term fr
         end
     done
   else begin
@@ -2322,7 +1843,7 @@ let run_sched_batch t (c : core) ~other_i =
          || (c.clk.time = o.clk.time && c.id < oid))
     do
       Lp_util.Deadline.check t.opts.deadline;
-      batch_step t c lim
+      checked_step t c
     done
   end
 
@@ -2387,9 +1908,7 @@ let run_loop t =
                scheduler.  [c] won the full pick scan, so a visible
                instruction needs no turn guard here *)
             t.batch_other <- -1;
-            t.steps <- t.steps + 1;
-            if t.steps > t.opts.max_steps then raise Step_limit_exceeded;
-            step_compiled c
+            checked_step t c
           end
           else run_sched_batch t c ~other_i:!other_i
         else begin
@@ -2521,7 +2040,8 @@ let run ?(opts = default_options) ?(obs = Obs.disabled) ~machine prog : outcome 
   Array.iter
     (fun c ->
       if c.prof_on then c.prof_cur <- Profile.slot c.prof "(idle)" 0;
-      if c.clk.time < duration then resume_at t c duration)
+      if c.clk.time < duration then resume_at c duration;
+      close_epoch t c)
     t.cores;
   let unused = charge_unused_cores t ~duration in
   let profile =
@@ -2534,10 +2054,11 @@ let run ?(opts = default_options) ?(obs = Obs.disabled) ~machine prog : outcome 
         let s = Profile.slot extra "(unused-cores)" 0 in
         List.iter
           (fun l ->
-            let cat = Energy_ledger.raw_by_category l in
-            for i = 0 to Profile.num_categories - 1 do
-              s.Profile.sl_cat.(i) <- s.Profile.sl_cat.(i) +. cat.(i)
-            done)
+            List.iteri
+              (fun i cat ->
+                s.Profile.sl_cat.(i) <-
+                  s.Profile.sl_cat.(i) +. Energy_ledger.of_category l cat)
+              Energy_ledger.all_categories)
           ledgers);
       Some
         (Profile.collect

@@ -4,23 +4,25 @@ open Ast
 
 exception Parse_error of string * int (** message, line *)
 
-type state = { toks : Lexer.located array; mutable pos : int }
+(* LL(1): the parser only ever looks at the lexer's current token *)
+type state = Lexer.t
 
-let cur st = st.toks.(st.pos)
-let cur_tok st = (cur st).tok
-let cur_line st = (cur st).line
+let cur_tok (st : state) = st.tok
+let cur_line (st : state) = st.line
 
 let err st msg =
   raise (Parse_error (Printf.sprintf "%s (got %s)" msg
                         (Lexer.token_to_string (cur_tok st)),
                       cur_line st))
 
-let advance st = st.pos <- st.pos + 1
+let advance = Lexer.next
 
+(* [tok] is always a constant constructor, for which physical equality
+   is equality *)
 let expect st tok msg =
-  if cur_tok st = tok then advance st else err st msg
+  if cur_tok st == tok then advance st else err st msg
 
-let position st = { line = cur_line st; col = (cur st).col }
+let position st = { line = cur_line st; col = Lexer.col st }
 
 (* ------------------------------------------------------------------ *)
 (* Pragmas: the raw text after "#pragma lp" is "key(arg1, arg2, ...)"
@@ -50,9 +52,11 @@ let collect_pragmas st =
   let rec loop acc =
     match cur_tok st with
     | Lexer.PRAGMA text ->
-      let line = cur_line st in
+      (* parsed before advancing, so a malformed pragma is reported
+         ahead of a lex error in the token after it *)
+      let p = parse_pragma_text ~line:(cur_line st) text in
       advance st;
-      loop (parse_pragma_text ~line text :: acc)
+      loop (p :: acc)
     | _ -> List.rev acc
   in
   loop []
@@ -161,8 +165,9 @@ and parse_primary st =
   | _ -> err st "expected expression"
 
 and parse_args st =
-  if cur_tok st = Lexer.RPAREN then begin advance st; [] end
-  else
+  match cur_tok st with
+  | Lexer.RPAREN -> advance st; []
+  | _ ->
     let rec loop acc =
       let e = parse_expr st in
       match cur_tok st with
@@ -192,11 +197,9 @@ let rec parse_stmt st : stmt =
     expect st Lexer.RPAREN "expected ')'";
     let then_b = parse_block_or_stmt st in
     let else_b =
-      if cur_tok st = Lexer.KW_ELSE then begin
-        advance st;
-        parse_block_or_stmt st
-      end
-      else []
+      match cur_tok st with
+      | Lexer.KW_ELSE -> advance st; parse_block_or_stmt st
+      | _ -> []
     in
     mk (If (cond, then_b, else_b))
   | Lexer.KW_WHILE ->
@@ -219,15 +222,12 @@ let rec parse_stmt st : stmt =
     mk (For (init, cond, step, body))
   | Lexer.KW_RETURN ->
     advance st;
-    if cur_tok st = Lexer.SEMI then begin
-      advance st;
-      mk (Return None)
-    end
-    else begin
+    (match cur_tok st with
+    | Lexer.SEMI -> advance st; mk (Return None)
+    | _ ->
       let e = parse_expr st in
       expect st Lexer.SEMI "expected ';' after return";
-      mk (Return (Some e))
-    end
+      mk (Return (Some e)))
   | Lexer.LBRACE -> mk (Block (parse_block st))
   | _ ->
     let s = parse_simple st in
@@ -291,16 +291,16 @@ and parse_decl st : stmt =
 and parse_block st : stmt list =
   expect st Lexer.LBRACE "expected '{'";
   let rec loop acc =
-    if cur_tok st = Lexer.RBRACE then begin
-      advance st;
-      List.rev acc
-    end
-    else loop (parse_stmt st :: acc)
+    match cur_tok st with
+    | Lexer.RBRACE -> advance st; List.rev acc
+    | _ -> loop (parse_stmt st :: acc)
   in
   loop []
 
 and parse_block_or_stmt st : stmt list =
-  if cur_tok st = Lexer.LBRACE then parse_block st else [ parse_stmt st ]
+  match cur_tok st with
+  | Lexer.LBRACE -> parse_block st
+  | _ -> [ parse_stmt st ]
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -308,8 +308,9 @@ and parse_block_or_stmt st : stmt list =
 
 let parse_params st : (ty * string) list =
   expect st Lexer.LPAREN "expected '('";
-  if cur_tok st = Lexer.RPAREN then begin advance st; [] end
-  else
+  match cur_tok st with
+  | Lexer.RPAREN -> advance st; []
+  | _ ->
     let rec loop acc =
       let ty = parse_base_ty st in
       let name =
@@ -351,13 +352,13 @@ let parse_global_init st =
   loop []
 
 let parse_program (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
+  let st = Lexer.create src in
   let globals = ref [] in
   let funcs = ref [] in
   let rec loop () =
-    if cur_tok st = Lexer.EOF then ()
-    else begin
+    match cur_tok st with
+    | Lexer.EOF -> ()
+    | _ ->
       let pragmas = collect_pragmas st in
       let pos = position st in
       let ty = parse_base_ty st in
@@ -383,11 +384,9 @@ let parse_program (src : string) : program =
         in
         expect st Lexer.RBRACKET "expected ']'";
         let init =
-          if cur_tok st = Lexer.ASSIGN then begin
-            advance st;
-            Some (parse_global_init st)
-          end
-          else None
+          match cur_tok st with
+          | Lexer.ASSIGN -> advance st; Some (parse_global_init st)
+          | _ -> None
         in
         expect st Lexer.SEMI "expected ';'";
         globals :=
@@ -413,7 +412,6 @@ let parse_program (src : string) : program =
         globals := { gname = name; gty = ty; ginit = None; gpos = pos } :: !globals
       | _ -> err st "expected '(', '[', '=' or ';' at top level");
       loop ()
-    end
   in
   loop ();
   { globals = List.rev !globals; funcs = List.rev !funcs }

@@ -232,18 +232,25 @@ let suite =
 (* ---------------- pretty-printer round trip ---------------- *)
 
 (* print -> parse -> print must be a fixpoint, over every bundled
-   workload (pragma-carrying, multi-function, float-using sources) *)
+   workload (pragma-carrying, multi-function, float-using sources) and
+   1001 generated programs *)
 let test_printer_round_trip () =
+  let programs =
+    List.map
+      (fun (w : Lp_workloads.Workload.t) ->
+        (w.Lp_workloads.Workload.name, w.Lp_workloads.Workload.source))
+      Lp_workloads.Suite.all
+    @ List.init 1001 (fun seed ->
+          (Printf.sprintf "gen seed %d" seed, (Lp_robust.Gen.generate ~seed).Lp_robust.Gen.source))
+  in
   List.iter
-    (fun (w : Lp_workloads.Workload.t) ->
-      let src = w.Lp_workloads.Workload.source in
+    (fun (name, src) ->
       let p1 = Lp_lang.Ast_printer.program_to_string (parse src) in
       let p2 = Lp_lang.Ast_printer.program_to_string (parse p1) in
-      if p1 <> p2 then
-        Alcotest.failf "%s: printer not a fixpoint" w.Lp_workloads.Workload.name;
+      if p1 <> p2 then Alcotest.failf "%s: printer not a fixpoint" name;
       (* and the reprinted program still type-checks *)
       Typecheck.check_program (parse p1))
-    Lp_workloads.Suite.all
+    programs
 
 (* the parallelizer's generated program must also survive the round trip *)
 let test_printer_round_trip_generated () =
@@ -266,4 +273,105 @@ let suite =
       Alcotest.test_case "printer round trip" `Quick test_printer_round_trip;
       Alcotest.test_case "printer round trip (generated)" `Quick
         test_printer_round_trip_generated;
+    ]
+
+(* ---------------- token positions, literals, error precedence ---------------- *)
+
+(* (token, line, col) of every token, [col] being the column just after
+   the token.  Covers both comment forms, a pragma line, every
+   two-character operator next to its one-character prefix, a tab, a
+   leading-zero int, "7." and the position of EOF. *)
+let golden_src =
+  "/* block comment\n   spanning two lines */\nint main() { // line comment\n#pragma lp pattern(doall, chunk=4)\n  float f = 7. + 2.5;\n  x = a<<b>>c<=d>=e==f!=g&&h||i<j>k=!l&m|n^~o;\n\treturn 007 % q[0] * 3 / 1 - 9;\n}\n  "
+
+let golden_tokens =
+  [
+    ("int", 3, 4); ("main", 3, 9); ("(", 3, 10); (")", 3, 11); ("{", 3, 13);
+    ("#pragma lp pattern(doall, chunk=4)", 4, 35); ("float", 5, 8);
+    ("f", 5, 10); ("=", 5, 12); ("7.", 5, 15); ("+", 5, 17); ("2.5", 5, 21);
+    (";", 5, 22); ("x", 6, 4); ("=", 6, 6); ("a", 6, 8); ("<<", 6, 10);
+    ("b", 6, 11); (">>", 6, 13); ("c", 6, 14); ("<=", 6, 16); ("d", 6, 17);
+    (">=", 6, 19); ("e", 6, 20); ("==", 6, 22); ("f", 6, 23); ("!=", 6, 25);
+    ("g", 6, 26); ("&&", 6, 28); ("h", 6, 29); ("||", 6, 31); ("i", 6, 32);
+    ("<", 6, 33); ("j", 6, 34); (">", 6, 35); ("k", 6, 36); ("=", 6, 37);
+    ("!", 6, 38); ("l", 6, 39); ("&", 6, 40); ("m", 6, 41); ("|", 6, 42);
+    ("n", 6, 43); ("^", 6, 44); ("~", 6, 45); ("o", 6, 46); (";", 6, 47);
+    ("return", 7, 8); ("7", 7, 12); ("%", 7, 14); ("q", 7, 16); ("[", 7, 17);
+    ("0", 7, 18); ("]", 7, 19); ("*", 7, 21); ("3", 7, 23); ("/", 7, 25);
+    ("1", 7, 27); ("-", 7, 29); ("9", 7, 31); (";", 7, 32); ("}", 8, 2);
+    ("<eof>", 9, 3);
+  ]
+
+let test_lex_golden_positions () =
+  let got =
+    List.map
+      (fun (l : Lexer.located) ->
+        (Lexer.token_to_string l.Lexer.tok, l.Lexer.line, l.Lexer.col))
+      (Lexer.tokenize golden_src)
+  in
+  check Alcotest.(list (triple string int int)) "tokens" golden_tokens got
+
+let test_lex_int_range () =
+  (match tokens "4611686018427387903" with
+  | [ Lexer.INT_LIT n; Lexer.EOF ] -> check Alcotest.int "max_int" max_int n
+  | _ -> fail "max_int literal");
+  (match tokens "99999999999999999999.5" with
+  | [ Lexer.FLOAT_LIT f; Lexer.EOF ] ->
+    check (Alcotest.float 1.) "long float" 99999999999999999999.5 f
+  | _ -> fail "long float literal");
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | _ -> Alcotest.failf "expected a lex error for %S" src
+      | exception Lexer.Lex_error (msg, line) ->
+        check Alcotest.string "message" "integer literal out of range" msg;
+        check Alcotest.int "line" 2 line)
+    [ "int x;\n4611686018427387904"; "\n99999999999999999999 1" ];
+  let machine = Lp_machine.Machine.generic ~n_cores:4 () in
+  match
+    Lowpower.Compile.compile_result ~machine
+      "int main() {\n  return 99999999999999999999;\n}"
+  with
+  | Error d ->
+    check Alcotest.string "code" "E_LEX" d.Lp_util.Diag.code;
+    check Alcotest.(option int) "line" (Some 2) d.Lp_util.Diag.line
+  | Ok _ -> fail "oversized literal must not compile"
+
+(* The lexer scans a token only when the parser advances onto it, so
+   the first error in source order wins: a parse error before a bad
+   character is E_PARSE. *)
+let test_first_error_wins () =
+  let machine = Lp_machine.Machine.generic ~n_cores:4 () in
+  let code src =
+    match Lowpower.Compile.compile_result ~machine src with
+    | Error d -> d.Lp_util.Diag.code
+    | Ok _ -> "ok"
+  in
+  check Alcotest.string "parse error first" "E_PARSE" (code "int main( { $ }");
+  check Alcotest.string "lex error first" "E_LEX" (code "int main() { $ return 0 }");
+  check Alcotest.string "bad pragma first" "E_PARSE"
+    (code "#pragma lp pattern(doall\n$ int main() { }")
+
+(* Deterministic proxy for frontend cost: words allocated (minor plus
+   direct major) per source byte when parsing and checking dotprod,
+   whose 8192 initialiser ints make it literal-heavy. *)
+let test_frontend_alloc () =
+  let src = (Lp_workloads.Suite.find_exn "dotprod").Lp_workloads.Workload.source in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Lowpower.Compile.parse_and_check src);
+  let per_byte = (words () -. w0) /. float_of_int (String.length src) in
+  if per_byte > 4.0 then
+    Alcotest.failf "frontend allocated %.2f words per source byte (limit 4)" per_byte
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "lex golden positions" `Quick test_lex_golden_positions;
+      Alcotest.test_case "lex int range" `Quick test_lex_int_range;
+      Alcotest.test_case "frontend first error wins" `Quick test_first_error_wins;
+      Alcotest.test_case "frontend allocation per byte" `Quick test_frontend_alloc;
     ]
